@@ -8,12 +8,23 @@ composition, term variables and embedded local rules.  Local rules come in
 three shapes: plain ``{L => L}``, outbound ``{L ^ S => L ^ S}`` and inbound
 ``{L @ S => L @ S}``.
 
+Every node is hash-consed: constructing a node whose class and field values
+equal those of a live node returns that node, however the arguments were
+passed.  Node ``==`` is therefore identity and ``hash`` costs O(1).  The
+intern table holds its nodes weakly, so a node lives exactly as long as
+something outside the table refers to it.  ``copy``, ``deepcopy`` and
+``pickle`` rebuild nodes through their constructors and so return the
+interned node.
+
 Equality of the calculus is structural congruence: ``|`` is an associative,
 commutative monoid with unit eps, a membrane may be rotated freely, the
 empty membrane around the empty term is the empty term, and rules are
 congruent componentwise.  ``normalize`` maps every pattern to a canonical
-representative (flattened, members sorted, least membrane rotation) so that
-congruence becomes syntactic equality, which is what ``equiv`` checks.
+representative (flattened, members sorted, least membrane rotation); since
+that representative is interned, congruence is identity of normal forms,
+which is what ``equiv`` checks.  ``normalize``, ``canonical_text`` and
+``has_marks`` memoise their result on the node itself, so a memo is freed
+with its node and retained memory follows the live terms.
 
 The rewrite engine additionally tracks which material was produced within
 the current parallel step.  Such material is wrapped in ``Frozen`` marks;
@@ -25,29 +36,88 @@ loop or rule boundary.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+import weakref
+from dataclasses import MISSING, dataclass, fields
+
+
+# --------------------------------------------------------------------------
+# interning
+
+# (class, *field values) -> the live node with those fields
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Metaclass whose constructor call returns the interned node."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != cls._arity:
+            args = cls._bind(args, kwargs)
+        key = (cls, *args)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = super().__call__(*args)
+            _INTERNED[key] = node
+        return node
+
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Field values in declaration order from a mixed or defaulted call."""
+        names = cls._names
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated "
+                            f"arguments {sorted(kwargs)}")
+        return tuple(values)
+
+
+class _Node(metaclass=_Interned):
+    """Base class of every interned node; :func:`_node` completes each one."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._names)
+
+
+def _node(cls):
+    """Make ``cls`` an immutable node class with identity equality."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    fs = fields(cls)
+    cls._arity = len(fs)
+    cls._names = tuple(f.name for f in fs)
+    cls._defaults = {f.name: f.default for f in fs if f.default is not MISSING}
+    return cls
 
 
 # --------------------------------------------------------------------------
 # atoms
 
-@dataclass(frozen=True)
-class Element:
+@_node
+class Element(_Node):
     """A basic symbol out of the element alphabet."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class ElemVar:
+@_node
+class ElemVar(_Node):
     """Variable standing for exactly one element.  Written ``?x``."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class SeqVar:
+@_node
+class SeqVar(_Node):
     """Variable standing for a (possibly empty) sequence.  Written ``~x``."""
 
     name: str
@@ -74,23 +144,30 @@ def atom_text(a: Atom) -> str:
 # --------------------------------------------------------------------------
 # patterns
 
-class Pattern:
-    """Base class for every pattern / term node."""
+class Pattern(_Node):
+    """Base class for every pattern / term node.
+
+    The three class attributes below are the unset per-node memos of
+    :func:`normalize`, :func:`canonical_text` and :func:`has_marks`.
+    """
 
     __slots__ = ()
+    _norm = None
+    _text = None
+    _marks = None
 
     def __str__(self) -> str:
         return canonical_text(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Pattern):
     """A flat sequence of atoms; the empty tuple is the empty term eps."""
 
     items: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Loop(Pattern):
     """A membrane ``loop(S)[P]``: a looping sequence wrapping a content term."""
 
@@ -99,14 +176,14 @@ class Loop(Pattern):
     mem_frozen: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Pattern):
     """Parallel composition of two or more patterns."""
 
     parts: tuple[Pattern, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class TermVar(Pattern):
     """Variable standing for an arbitrary (possibly empty) term.  Written ``$X``."""
 
@@ -119,7 +196,7 @@ class LocalRule(Pattern):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class PlainRule(LocalRule):
     """``{L1 => L2}``: rewrite L1 to L2 inside the compartment holding the rule."""
 
@@ -127,7 +204,7 @@ class PlainRule(LocalRule):
     rhs: Pattern
 
 
-@dataclass(frozen=True)
+@_node
 class OutRule(LocalRule):
     """``{L1 ^ S1 => L2 ^ S2}``: move L1 out across a membrane matching S1."""
 
@@ -137,7 +214,7 @@ class OutRule(LocalRule):
     rhs_mem: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class InRule(LocalRule):
     """``{L1 @ S1 => L2 @ S2}``: move L1 into a sibling membrane matching S1."""
 
@@ -147,7 +224,7 @@ class InRule(LocalRule):
     rhs_mem: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Frozen(Pattern):
     """Mark on a subtree produced during the current parallel step."""
 
@@ -157,8 +234,8 @@ class Frozen(Pattern):
 EPS = Seq(())
 
 
-@dataclass(frozen=True)
-class GlobalRule:
+@_node
+class GlobalRule(_Node):
     """A rewrite rule ``P1 => P2`` applied at evaluation contexts of the whole term."""
 
     lhs: Pattern
@@ -189,7 +266,6 @@ def loop(membrane: Seq | tuple[Atom, ...], content: Pattern) -> Loop:
 # --------------------------------------------------------------------------
 # canonical text
 
-@functools.lru_cache(maxsize=None)
 def canonical_text(p: Pattern) -> str:
     """Grammar-shaped rendering of a node exactly as stored.
 
@@ -197,6 +273,16 @@ def canonical_text(p: Pattern) -> str:
     the total order used to sort parallel members.  Marks render with a ``!``
     prefix, which the parser does not accept: serialized terms are mark-free.
     """
+    try:
+        text = p._text
+    except AttributeError:
+        raise TypeError(f"not a pattern: {p!r}") from None
+    if text is None:
+        text = p.__dict__["_text"] = _canonical_text(p)
+    return text
+
+
+def _canonical_text(p: Pattern) -> str:
     if isinstance(p, Seq):
         return seq_text(p.items)
     if isinstance(p, Loop):
@@ -235,15 +321,34 @@ def min_rotation(items: tuple[Atom, ...]) -> tuple[Atom, ...]:
     return min(rotations, key=lambda r: tuple(atom_key(a) for a in r))
 
 
-@functools.lru_cache(maxsize=None)
+# memo of a node that is its own normal form (storing the node itself
+# would make a reference cycle that only the cyclic collector frees)
+_NORMAL = object()
+
+
 def normalize(p: Pattern) -> Pattern:
     """Canonical representative of the congruence class of ``p``.
 
     Flattens parallel composition, drops eps members, sorts members by their
     canonical text, rotates membranes to the least rotation, collapses the
     empty membrane around the empty term, and pushes marks through parallel
-    composition.  Idempotent.
+    composition.  Idempotent: ``normalize(normalize(p)) is normalize(p)``.
     """
+    try:
+        norm = p._norm
+    except AttributeError:
+        raise TypeError(f"not a pattern: {p!r}") from None
+    if norm is _NORMAL:
+        return p
+    if norm is None:
+        norm = _normalize(p)
+        norm.__dict__["_norm"] = _NORMAL
+        if norm is not p:
+            p.__dict__["_norm"] = norm
+    return norm
+
+
+def _normalize(p: Pattern) -> Pattern:
     if isinstance(p, Seq):
         return EPS if not p.items else p
     if isinstance(p, TermVar):
@@ -257,12 +362,12 @@ def normalize(p: Pattern) -> Pattern:
     if isinstance(p, Loop):
         content = normalize(p.content)
         mem = min_rotation(p.membrane)
-        if not mem and content == EPS:
+        if not mem and content is EPS:
             return EPS
         return Loop(mem, content, p.mem_frozen)
     if isinstance(p, Frozen):
         body = normalize(p.body)
-        if body == EPS:
+        if body is EPS:
             return EPS
         if isinstance(body, Frozen):
             return body
@@ -273,7 +378,7 @@ def normalize(p: Pattern) -> Pattern:
         members: list[Pattern] = []
         for part in p.parts:
             m = normalize(part)
-            if m == EPS:
+            if m is EPS:
                 continue
             if isinstance(m, Par):
                 members.extend(m.parts)
@@ -297,7 +402,7 @@ def members_of(p: Pattern) -> tuple[Pattern, ...]:
     """Parallel members of a normalized pattern (eps has none)."""
     if isinstance(p, Par):
         return p.parts
-    if p == EPS:
+    if p is EPS:
         return ()
     return (p,)
 
@@ -362,7 +467,7 @@ def local_rule_violations(r: LocalRule) -> tuple[str, ...]:
     ``membrane-vars`` (same, for the membrane sides of an in/out rule).
     """
     out: list[str] = []
-    if normalize(r.lhs) == EPS:
+    if normalize(r.lhs) is EPS:
         out.append("empty-lhs")
     lhs_vars = pattern_vars(r.lhs)
     if isinstance(r, (OutRule, InRule)):
@@ -380,7 +485,7 @@ def well_formed_local_rule(r: LocalRule) -> bool:
 
 def global_rule_violations(g: GlobalRule) -> tuple[str, ...]:
     out: list[str] = []
-    if normalize(g.lhs) == EPS:
+    if normalize(g.lhs) is EPS:
         out.append("empty-lhs")
     if not pattern_vars(g.rhs) <= pattern_vars(g.lhs):
         out.append("rhs-vars")
@@ -411,9 +516,18 @@ def rule_nodes(p: Pattern):
 # --------------------------------------------------------------------------
 # marks
 
-@functools.lru_cache(maxsize=None)
 def has_marks(p: Pattern) -> bool:
     """True when the subtree carries any frozen mark (node or membrane)."""
+    try:
+        marks = p._marks
+    except AttributeError:
+        raise TypeError(f"not a pattern: {p!r}") from None
+    if marks is None:
+        marks = p.__dict__["_marks"] = _has_marks(p)
+    return marks
+
+
+def _has_marks(p: Pattern) -> bool:
     if isinstance(p, Frozen):
         return True
     if isinstance(p, Seq) or isinstance(p, TermVar):
@@ -430,6 +544,8 @@ def has_marks(p: Pattern) -> bool:
 
 def erase(p: Pattern) -> Pattern:
     """Strip every frozen mark, keeping the tree otherwise intact."""
+    if not has_marks(p):
+        return p
     if isinstance(p, Frozen):
         return erase(p.body)
     if isinstance(p, Loop):

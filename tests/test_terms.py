@@ -1,4 +1,11 @@
-"""Term algebra: canonical forms, congruence, variables, marks."""
+"""Term algebra: interning, canonical forms, congruence, variables, marks."""
+
+import copy
+import gc
+import pickle
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +38,10 @@ from clslr.terms import (
     pattern_vars,
     seq,
 )
+from clslr import bundled_model, terms
+from clslr.syntax import parse_model
+from clslr.typecheck import Classification
+from clslr.typed import typed_run
 
 from oracles import (
     congruence_closure,
@@ -42,6 +53,109 @@ from oracles import (
 )
 
 a, b, c = Element("a"), Element("b"), Element("c")
+
+
+# -- interning
+
+def test_equal_constructions_are_one_node():
+    # positional, keyword and defaulted calls all give the same key
+    assert Element("a") is a
+    assert Element(name="a") is a
+    assert seq("a", "b") is Seq((a, b))
+    content = Par((seq("a"), seq("b")))
+    plain = Loop((a,), content)
+    assert plain is Loop((a,), content, False)
+    assert plain is Loop((a,), content, mem_frozen=False)
+    assert plain is Loop(membrane=(a,), content=content)
+    assert plain is not Loop((a,), content, mem_frozen=True)
+    out = OutRule(seq("a"), (SeqVar("x"),), seq("b"), (SeqVar("x"),))
+    assert out is OutRule(lhs=seq("a"), lhs_mem=(SeqVar("x"),),
+                          rhs=seq("b"), rhs_mem=(SeqVar("x"),))
+    assert GlobalRule(seq("a"), EPS) is GlobalRule(rhs=EPS, lhs=seq("a"))
+    assert TermVar("X") is TermVar("X")
+    assert ElemVar("x") is not SeqVar("x")
+
+
+def test_node_equality_is_identity_of_interned_nodes():
+    left = Par((seq("b"), seq("a")))
+    right = Par((seq("a"), seq("b")))
+    # congruent but stored differently: two nodes, unequal until normalized
+    assert left != right
+    assert normalize(left) is normalize(right)
+    assert hash(left) == object.__hash__(left)
+
+
+def test_constructor_argument_errors():
+    with pytest.raises(TypeError):
+        Loop((a,))
+    with pytest.raises(TypeError):
+        Loop((a,), EPS, False, True)
+    with pytest.raises(TypeError):
+        Loop((a,), EPS, membrane=(b,))
+    with pytest.raises(TypeError):
+        Element(nme="a")
+
+
+def test_empty_seq_is_eps_object():
+    assert Seq(()) is EPS
+    assert seq() is EPS
+    assert normalize(Par((EPS, EPS))) is EPS
+
+
+@given(st.integers(0, 10_000))
+def test_normalize_returns_the_interned_normal_form(n):
+    p = random_pattern(Random(n), depth=3)
+    assert normalize(normalize(p)) is normalize(p)
+
+
+def test_intern_entry_dies_with_its_node():
+    node = Loop((Element("only-in-this-test"),), seq("z"))
+    ref = weakref.ref(node)
+    key = (Element, "only-in-this-test")
+    assert key in terms._INTERNED
+    del node
+    gc.collect()
+    assert ref() is None
+    # the loop's own key held the element, so the element's entry going
+    # away also shows the loop's entry went away
+    assert key not in terms._INTERNED
+
+
+COPY_CASES = [
+    a, ElemVar("x"), SeqVar("y"), EPS, TermVar("X"),
+    Loop((a, b), Par((seq("c"), Frozen(seq("a")))), mem_frozen=True),
+    PlainRule(seq("a"), EPS),
+    InRule(seq("a"), (a,), seq("b"), (a,)),
+    GlobalRule(Par((seq("a"), TermVar("X"))), TermVar("X")),
+]
+
+
+@pytest.mark.parametrize("node", COPY_CASES, ids=repr)
+def test_copies_are_the_interned_node(node):
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert copy.deepcopy([node, node])[1] is node
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(node, protocol)) is node
+
+
+def test_retained_memory_follows_the_live_term():
+    # per-node memos die with their nodes: a long run leaves nothing behind
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    classif = Classification(dict(lam.elements))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = typed_run(model.term, model.globals, classif, steps=100)
+        assert len(trace.labels) > 800
+        del trace
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 512 * 1024, f"{held} bytes still held"
 
 
 def test_empty_sequence_is_eps():

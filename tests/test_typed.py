@@ -1,9 +1,21 @@
 """Typed reduction: label admission, permission checks, subject reduction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import clslr
+from clslr import bundled_model
 from clslr.engine import apply_label, find_redexes, run
-from clslr.syntax import parse_global_text, parse_model, parse_pattern_text
+from clslr.syntax import (
+    parse_global_text,
+    parse_model,
+    parse_pattern_text,
+    trace_to_json,
+)
 from clslr.terms import erase, normalize
 from clslr.typecheck import Classification, UnknownElementError, pattern_type
 from clslr.typed import (
@@ -150,3 +162,45 @@ def test_subject_reduction_random_models_spot():
         for before, after in zip(states, states[1:]):
             assert subject_reduction_check(before, after, classif), seed
     assert checked >= 20  # the sweep must not be vacuous
+
+
+GOLDEN_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from clslr import bundled_model
+from clslr.syntax import parse_model, trace_to_json
+from clslr.typecheck import Classification
+from clslr.typed import typed_run
+model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+lam = parse_model(Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+trace = typed_run(model.term, model.globals,
+                  Classification(dict(lam.elements)), steps=30)
+print(hash("clslr"))
+sys.stdout.write(trace_to_json(trace))
+"""
+
+
+def test_golden_trace_bytes_do_not_depend_on_hash_seed():
+    # node hashes are identities, so no output may follow the iteration
+    # order of a set or dict of nodes.  -I would ignore PYTHONHASHSEED
+    # (it implies -E), so the children get -s and a bare environment.
+    src = str(Path(clslr.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = {"PYTHONHASHSEED": hash_seed, "PATH": os.environ.get("PATH", "")}
+        done = subprocess.run([sys.executable, "-s", "-c", GOLDEN_RUN, src],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        outs.append(done.stdout.split("\n", 1))
+    (hash0, text0), (hash1, text1) = outs
+    assert hash0 != hash1  # the seeds took effect
+    assert text0 == text1
+
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    trace = typed_run(model.term, model.globals,
+                      Classification(dict(lam.elements)), steps=30)
+    assert len(trace.labels) == 231
+    assert text0 == trace_to_json(trace)
