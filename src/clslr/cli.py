@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .engine import (
     DEFAULT_MATCH_CAP,
+    STRATEGIES,
     StaleLabelError,
     StepCapError,
     Trace,
@@ -41,8 +42,6 @@ from .typecheck import (
     render_ptype,
 )
 from .typed import typed_run
-
-STRATEGY_CHOICES = ("single", "random-k", "maximal")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_lambda_opts(p)
     p.add_argument("--typed", action="store_true",
                    help="admit only well-typed reductions")
-    p.add_argument("--strategy", choices=STRATEGY_CHOICES, default="maximal")
+    p.add_argument("--strategy", choices=STRATEGIES, default="maximal")
     p.add_argument("--k", type=int, default=None,
                    help="applications per step for random-k")
     p.add_argument("--seed", type=int, default=0)

@@ -27,7 +27,9 @@ deterministically reproduces the run, which is what
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
+from itertools import islice
 
 from .matching import (
     DEFAULT_MATCH_CAP,
@@ -188,113 +190,123 @@ def compartment_sites(mt: Pattern) -> list:
 # --------------------------------------------------------------------------
 # redex discovery
 
-def find_redexes(rules, mt: Pattern, match_cap: int = DEFAULT_MATCH_CAP) -> list:
-    """All reduction labels of ``mt`` under the freeze discipline.
+def find_redexes(rules, mt: Pattern, match_cap: int = DEFAULT_MATCH_CAP, *,
+                 label_filter=None, first: bool = False,
+                 spent=None) -> list:
+    """The reduction labels of ``mt`` under the freeze discipline.
 
-    Deterministic order: sites in preorder, then schema
-    (GRT, LR, LR-Out, LR-In), then rule/occurrence order, then match order.
-    Congruent decompositions yielding the same label are emitted once.
+    Deterministic order: sites innermost first and the root last (see
+    :func:`compartment_sites`), then schema (GRT, LR, LR-Out, LR-In), then
+    rule/occurrence order, then match order.  Congruent decompositions
+    yielding the same label are emitted once.
+
+    Labels are discovered lazily.  ``label_filter(mt, label)``, when given,
+    vetoes labels.  With ``first`` the scan stops at the first label the
+    filter admits and returns at most that one, so ``match_cap`` bounds only
+    the candidates tried up to it.
+
+    ``spent``, a set or a ``weakref.WeakSet``, holds membrane (``Loop``)
+    nodes whose compartment yielded no label at all when fully scanned:
+    later scans skip those sites and add the newly spent ones.  The labels
+    at an inner site depend only on ``rules`` and on its loop node (content,
+    membrane and ``mem_frozen``), so one set may serve every scan made with
+    the same ``rules``.  The root is never skipped.  Without ``spent``, a
+    fresh set serves this scan.
     """
     mt = normalize(mt)
-    budget = _Budget(match_cap)
-    labels: list[ReductionLabel] = []
+    found = _discover(rules, mt, _Budget(match_cap),
+                      set() if spent is None else spent)
+    if label_filter is not None:
+        found = (lbl for lbl in found if label_filter(mt, lbl))
+    return list(islice(found, 1) if first else found)
+
+
+def _discover(rules, mt: Pattern, budget: _Budget, spent):
+    """Generate the labels of :func:`find_redexes` in order, each once."""
     seen: set = set()
-
-    def emit(schema, rule, path, inst, residue):
-        lbl = ReductionLabel(schema, rule, path, _binding_items(inst), residue)
-        if lbl not in seen:
-            seen.add(lbl)
-            labels.append(lbl)
-
-    def lhs_parts(p: Pattern) -> list:
-        return list(members_of(normalize(p)))
-
-    def rhs_ok(rule) -> bool:
-        # a match never invents bindings; skip redexes whose rhs needs one
-        try:
-            substitute(rule.rhs, inst_hold[0])
-            if isinstance(rule, (OutRule, InRule)):
-                subst_seq(rule.rhs_mem, inst_hold[0])
-        except UnboundVariableError:
-            return False
-        return True
-
-    inst_hold = [{}]
-
     for site_path, content in compartment_sites(mt):
-        members = members_of(content)
-        unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
+        loop = node_at(mt, site_path[:-1]) if site_path else None
+        if loop in spent:
+            continue
+        empty = True
+        for lbl in _site_labels(rules, site_path, loop, content, budget):
+            empty = False
+            if lbl not in seen:
+                seen.add(lbl)
+                yield lbl
+        if empty and loop is not None:
+            spent.add(loop)
 
-        for rule in rules:
-            parts = lhs_parts(rule.lhs)
-            for inst, used in match_parts(parts, members, unmarked, {}, budget,
-                                          require_all=False):
-                if not used:
-                    continue
-                inst_hold[0] = inst
-                if not rhs_ok(rule):
-                    continue
-                emit(SCHEMA_GRT, rule, site_path, inst, EPS)
 
+def _site_labels(rules, site_path: tuple, loop, content: Pattern,
+                 budget: _Budget):
+    """The labels matched at one site; ``loop`` encloses it (None at root)."""
+    members = members_of(content)
+    unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
+
+    def label(schema, rule, path, inst, residue):
+        return ReductionLabel(schema, rule, path, _binding_items(inst),
+                              residue)
+
+    for rule in rules:
+        for inst, _ in _hits(rule, members, unmarked, {}, budget):
+            yield label(SCHEMA_GRT, rule, site_path, inst, EPS)
+
+    for ri in unmarked:
+        occ = members[ri]
+        if not isinstance(occ, PlainRule):
+            continue
+        pool = tuple(i for i in unmarked if i != ri)
+        for inst, used in _hits(occ, members, pool, {}, budget):
+            yield label(SCHEMA_LR, occ, site_path, inst,
+                        _residue(members, {ri, *used}))
+
+    if loop is not None and not loop.mem_frozen:
         for ri in unmarked:
             occ = members[ri]
-            if not isinstance(occ, PlainRule):
+            if not isinstance(occ, OutRule):
                 continue
             pool = tuple(i for i in unmarked if i != ri)
-            for inst, used in match_parts(lhs_parts(occ.lhs), members, pool, {},
-                                          budget, require_all=False):
-                if not used:
-                    continue
-                inst_hold[0] = inst
-                if not rhs_ok(occ):
-                    continue
-                residue = _residue(members, {ri, *used})
-                emit(SCHEMA_LR, occ, site_path, inst, residue)
+            for m_inst in match_seq_rotations(occ.lhs_mem, loop.membrane, {},
+                                              budget):
+                for inst, used in _hits(occ, members, pool, m_inst, budget):
+                    yield label(SCHEMA_LR_OUT, occ, site_path[:-1], inst,
+                                _residue(members, {ri, *used}))
 
-        if site_path and site_path[-1] == "loop":
-            loop_path = site_path[:-1]
-            lp = node_at(mt, loop_path)
-            if not lp.mem_frozen:
-                for ri in unmarked:
-                    occ = members[ri]
-                    if not isinstance(occ, OutRule):
-                        continue
-                    pool = tuple(i for i in unmarked if i != ri)
-                    for m_inst in match_seq_rotations(occ.lhs_mem, lp.membrane, {},
-                                                     budget):
-                        for inst, used in match_parts(lhs_parts(occ.lhs), members,
-                                                      pool, m_inst, budget,
-                                                      require_all=False):
-                            if not used:
-                                continue
-                            inst_hold[0] = inst
-                            if not rhs_ok(occ):
-                                continue
-                            residue = _residue(members, {ri, *used})
-                            emit(SCHEMA_LR_OUT, occ, loop_path, inst, residue)
-
-        for ri in unmarked:
-            occ = members[ri]
-            if not isinstance(occ, InRule):
+    for ri in unmarked:
+        occ = members[ri]
+        if not isinstance(occ, InRule):
+            continue
+        for li, m in enumerate(members):
+            if li == ri or not isinstance(m, Loop) or m.mem_frozen:
                 continue
-            for li, m in enumerate(members):
-                if li == ri or not isinstance(m, Loop) or m.mem_frozen:
-                    continue
-                pool = tuple(i for i in unmarked if i not in (ri, li))
-                for m_inst in match_seq_rotations(occ.lhs_mem, m.membrane, {},
-                                                 budget):
-                    for inst, used in match_parts(lhs_parts(occ.lhs), members,
-                                                  pool, m_inst, budget,
-                                                  require_all=False):
-                        if not used:
-                            continue
-                        inst_hold[0] = inst
-                        if not rhs_ok(occ):
-                            continue
-                        residue = normalize(erase(m.content))
-                        emit(SCHEMA_LR_IN, occ, site_path, inst, residue)
+            pool = tuple(i for i in unmarked if i not in (ri, li))
+            for m_inst in match_seq_rotations(occ.lhs_mem, m.membrane, {},
+                                              budget):
+                for inst, _ in _hits(occ, members, pool, m_inst, budget):
+                    yield label(SCHEMA_LR_IN, occ, site_path, inst,
+                                normalize(erase(m.content)))
 
-    return labels
+
+def _hits(rule, members: tuple, pool: tuple, m_inst: dict, budget: _Budget):
+    """``(inst, used)`` for each match of ``rule``'s lhs that uses material
+    and binds every variable of the rhs."""
+    lhs = members_of(normalize(rule.lhs))
+    for inst, used in match_parts(lhs, members, pool, m_inst, budget,
+                                  require_all=False):
+        if used and _rhs_ok(rule, inst):
+            yield inst, used
+
+
+def _rhs_ok(rule, inst: dict) -> bool:
+    # a match never invents bindings; skip redexes whose rhs needs one
+    try:
+        substitute(rule.rhs, inst)
+        if isinstance(rule, (OutRule, InRule)):
+            subst_seq(rule.rhs_mem, inst)
+    except UnboundVariableError:
+        return False
+    return True
 
 
 def _residue(members: tuple, consumed: set) -> Pattern:
@@ -429,6 +441,14 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     remains.  A step that applies nothing ends the run early.
     ``label_filter(mt, label)``, when given, vetoes candidate labels; the
     term passed to it is the current marked state.
+
+    Before each application the term is scanned again.  ``single`` and
+    ``maximal`` scans stop at the first admitted label, the one they apply;
+    ``random-k`` scans list every admitted label to draw from.  The run
+    keeps one memo of spent compartments: membrane nodes whose content
+    yielded no label when fully scanned, which every later scan of the run
+    skips (see :func:`find_redexes`).  The memo holds its nodes weakly, so
+    it never keeps a term of an earlier step alive.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -438,12 +458,13 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     if has_marks(initial):
         raise ValueError("cannot start from a marked term")
     rng = random.Random(seed)
+    first = strategy != "random-k"
+    spent = weakref.WeakSet()
 
     def redexes(mt):
-        found = find_redexes(rules, mt, match_cap=match_cap)
-        if label_filter is not None:
-            found = [lbl for lbl in found if label_filter(mt, lbl)]
-        return found
+        return find_redexes(rules, mt, match_cap=match_cap,
+                            label_filter=label_filter, first=first,
+                            spent=spent)
 
     cur = initial
     rounds = []

@@ -88,9 +88,13 @@ def typed_ok(mt: Pattern, label: ReductionLabel, classif: Classification) -> boo
 
 def typed_find_redexes(rules, model_term: Pattern, classif: Classification,
                        match_cap: int = DEFAULT_MATCH_CAP) -> list:
-    mt = normalize(model_term)
-    return [lbl for lbl in find_redexes(rules, mt, match_cap=match_cap)
-            if typed_ok(mt, lbl, classif)]
+    """Every label of ``model_term`` that :func:`typed_ok` admits, in order."""
+
+    def fltr(mt, lbl):
+        return typed_ok(mt, lbl, classif)
+
+    return find_redexes(rules, model_term, match_cap=match_cap,
+                        label_filter=fltr)
 
 
 def typed_run(term: Pattern, rules, classif: Classification, *, steps: int = 1,

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from pathlib import Path
 from random import Random
 
 from clslr.engine import (
@@ -19,7 +20,14 @@ from clslr.engine import (
     run,
     verify_decomposition,
 )
-from clslr.syntax import parse_global_text, parse_pattern_text
+from clslr import bundled_model
+from clslr.matching import MatchCapError
+from clslr.syntax import (
+    merge_elements,
+    parse_global_text,
+    parse_model,
+    parse_pattern_text,
+)
 from clslr.terms import (
     EPS,
     Element,
@@ -35,8 +43,10 @@ from clslr.terms import (
     normalize,
     seq,
 )
+from clslr.typecheck import Classification
+from clslr.typed import typed_ok, typed_run
 
-from oracles import random_ground_term
+from oracles import random_ground_term, random_model
 
 P = parse_pattern_text
 G = parse_global_text
@@ -378,3 +388,111 @@ def test_parallel_step_material_is_conserved_or_rewritten(n):
     tr = parallel_reduce(t, [G("a => b")])
     assert not has_marks(tr.final)
     assert normalize(tr.final) == tr.final
+
+
+# -- lazy discovery and the memo of spent compartments
+
+def _eager_run(term, rules, *, steps, strategy, seed, k, label_filter):
+    """The definition of a run: list every label, filter, pick, apply."""
+    rng = Random(seed)
+    cur = normalize(term)
+    rounds = []
+    for _ in range(steps):
+        mt, applied = cur, []
+        while not ((strategy == "single" and applied)
+                   or (strategy == "random-k" and len(applied) >= k)):
+            labels = [lbl for lbl in find_redexes(rules, mt)
+                      if label_filter is None or label_filter(mt, lbl)]
+            if not labels:
+                break
+            lbl = (labels[rng.randrange(len(labels))]
+                   if strategy == "random-k" else labels[0])
+            mt = apply_label(mt, lbl)
+            applied.append(lbl)
+        if not applied:
+            break
+        rounds.append(tuple(applied))
+        cur = normalize(erase(mt))
+    return tuple(rounds), cur
+
+
+def _golden_model():
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    model.elements = merge_elements(model.elements, lam.elements)
+    return model.term, model.globals, model.classification()
+
+
+def test_lazy_discovery_equals_eager_definition():
+    models = [(term, rules, Classification(entries))
+              for term, rules, entries in map(random_model, range(200))]
+    models.append(_golden_model())
+    runs = 0
+    for term, rules, classif in models:
+        def fltr(mt, lbl):
+            return typed_ok(mt, lbl, classif)
+
+        for strategy, k in (("single", None), ("maximal", None),
+                            ("random-k", 2)):
+            for seed in (0, 7):
+                kw = dict(steps=3, strategy=strategy, seed=seed, k=k)
+                for typed in (False, True):
+                    got = (typed_run(term, rules, classif, **kw) if typed
+                           else run(term, rules, **kw))
+                    want = _eager_run(term, rules, **kw,
+                                      label_filter=fltr if typed else None)
+                    assert (got.rounds, got.final) == want, (term, kw, typed)
+                    runs += bool(got.rounds)
+    assert runs > 1000  # the sweep must not be vacuous
+
+
+def test_spent_memo_is_keyed_by_membrane_node():
+    # identical contents; only the m membrane lets the out rule fire, and
+    # the k compartment (spent) is scanned first
+    t = normalize(P("loop(k)[a | { a ^ m => a ^ m }] | "
+                    "loop(m)[a | { a ^ m => a ^ m }]"))
+    assert [p for p, _ in compartment_sites(t)][:2] == [(0, "loop"),
+                                                        (1, "loop")]
+    out = ReductionLabel("LR-Out", P("{ a ^ m => a ^ m }"), (1,), (), EPS)
+    assert find_redexes([], t) == [out]
+    tr = run(t, [], steps=2)
+    assert tr.labels == (out,)
+    assert tr.final == normalize(P("a | loop(k)[a | { a ^ m => a ^ m }] | "
+                                   "loop(m)[{ a ^ m => a ^ m }]"))
+
+
+def test_spent_memo_skips_only_spent_sites():
+    t = normalize(P("loop(m)[c | { c => d }] | loop(w)[b]"))
+    live, dead = node_at(t, (0,)), node_at(t, (1,))
+    assert live.membrane == (Element("m"),)
+    spent: set = set()
+    assert len(find_redexes([], t, spent=spent)) == 1
+    assert spent == {dead}
+    assert len(find_redexes([], t, spent=spent)) == 1
+    # a site whose loop node is in the set is not scanned
+    assert find_redexes([], t, spent={live}) == []
+
+
+def test_first_stops_at_first_admitted_label():
+    t = P("c | c | { c => d } | { c => e }")
+    every = find_redexes([], t)
+    assert len(every) == 2
+    assert find_redexes([], t, first=True) == every[:1]
+
+    def not_d(mt, lbl):
+        return lbl.rule != P("{ c => d }")
+
+    assert find_redexes([], t, label_filter=not_d) == every[1:]
+    assert find_redexes([], t, label_filter=not_d, first=True) == every[1:]
+
+
+def test_first_admitted_scan_spends_less_match_budget():
+    # the inner compartment is scanned first; the root's $X | $X rule would
+    # exceed the cap, and only a scan that lists every label reaches it
+    t = P("loop(m)[c | { c => d }] | x1 | x2 | x3 | x4 | x5 | x6 | "
+          "{ $X | $X => eps }")
+    tr = run(t, [], steps=1, strategy="single", match_cap=50)
+    assert [lbl.schema for lbl in tr.labels] == ["LR"]
+    with pytest.raises(MatchCapError):
+        run(t, [], steps=1, strategy="random-k", k=1, match_cap=50)

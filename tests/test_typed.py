@@ -1,5 +1,6 @@
 """Typed reduction: label admission, permission checks, subject reduction."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import clslr
 from clslr import bundled_model
 from clslr.engine import apply_label, find_redexes, run
 from clslr.syntax import (
+    merge_elements,
     parse_global_text,
     parse_model,
     parse_pattern_text,
@@ -204,3 +206,27 @@ def test_golden_trace_bytes_do_not_depend_on_hash_seed():
                       Classification(dict(lam.elements)), steps=30)
     assert len(trace.labels) == 231
     assert text0 == trace_to_json(trace)
+
+
+# sha256 and length of the golden model's typed maximal trace JSON, as the
+# benchmark's mito workload computes it; any change to discovery order,
+# label content or trace encoding shows here
+GOLDEN_TRACE_SHA = {
+    8: ("b4b39a1218fb2c70486cfae4eee3924cd8c7d70f7dbbe76efeb2536ffd52852c",
+        13084),
+    30: ("d8b7d5e076712849c6f4ef976be29d27b80b1180e3544f0acfb8934204c84c0b",
+         90207),
+}
+
+
+@pytest.mark.parametrize("steps", sorted(GOLDEN_TRACE_SHA))
+def test_golden_trace_bytes_are_pinned(steps):
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    model.elements = merge_elements(model.elements, lam.elements)
+    trace = typed_run(model.term, model.globals, model.classification(),
+                      steps=steps)
+    data = trace_to_json(trace).encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == \
+        GOLDEN_TRACE_SHA[steps]
