@@ -72,7 +72,6 @@ from .typecheck import (
     render_ptype,
 )
 from .typed import (
-    TypedModel,
     subject_reduction_check,
     typed_find_redexes,
     typed_parallel_reduce,

@@ -31,7 +31,7 @@ from .syntax import (
     merge_elements,
     parse_model,
     render,
-    render_global,
+    rule_text,
     trace_from_json,
     trace_to_json,
 )
@@ -135,7 +135,7 @@ def cmd_typecheck(args) -> int:
         tau = pattern_type({}, classif, model.term)
         print(f"term: {render_ptype(tau)}")
     for n, rule in enumerate(model.globals, 1):
-        text = render_global(rule)
+        text = rule_text(rule)
         try:
             ok = check_global({}, classif, rule)
         except UnboundVariableError:
@@ -204,9 +204,8 @@ def _trace_text(trace: Trace) -> str:
     for rnum, rnd in enumerate(trace.rounds, 1):
         lines.append(f"round {rnum}:")
         for lbl in rnd:
-            rule = (render_global(lbl.rule)
-                    if lbl.schema == "GRT" else render(lbl.rule))
-            lines.append(f"  [{lbl.schema}] {rule}  at {_path_text(lbl.path)}")
+            lines.append(f"  [{lbl.schema}] {rule_text(lbl.rule)}  "
+                         f"at {_path_text(lbl.path)}")
     lines.append(f"final: {render(trace.final)}")
     return "\n".join(lines) + "\n"
 
@@ -230,14 +229,8 @@ def main(argv=None) -> int:
     primary = getattr(args, "model", None) or getattr(args, "trace", "clslr")
     try:
         return args.func(args)
-    except ModelSyntaxError as err:
-        print(_positioned(err, primary), file=sys.stderr)
-        return 1
-    except TypingError as err:
-        print(_positioned(err, primary), file=sys.stderr)
-        return 1
-    except (MatchCapError, StepCapError, StaleLabelError,
-            UnboundVariableError) as err:
+    except (ModelSyntaxError, TypingError, MatchCapError, StepCapError,
+            StaleLabelError, UnboundVariableError) as err:
         print(_positioned(err, primary), file=sys.stderr)
         return 1
     except OSError as err:

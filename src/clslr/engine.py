@@ -6,12 +6,17 @@ never inside a sequence or a rule body.  A context path records the steps
 to a hole: an integer enters a parallel member, the step ``"loop"`` enters
 a membrane's content.
 
-Four schemas produce labels:
+Four schemas produce labels.  :data:`SCHEMAS` maps each to the rule kind it
+applies, in discovery order:
 
 ``GRT``     a global rule rewrites matched material anywhere.
 ``LR``      a plain local rule rewrites sibling material in its compartment.
 ``LR-Out``  an out rule sends material across its own membrane, rewriting it.
 ``LR-In``   an in rule sends sibling material into a sibling membrane.
+
+All four match the left side in one compartment, keep the rule occurrence
+and add the frozen right side; only where that goes, which membrane is
+rewritten and what the stored residue means depend on the schema.
 
 Material produced by an application is wrapped in frozen marks, and within
 one parallel step nothing frozen may be matched again, the rule occurrence
@@ -54,12 +59,10 @@ from .terms import (
     Par,
     Pattern,
     PlainRule,
-    Seq,
     SeqVar,
     TermVar,
     erase,
     has_marks,
-    is_ground,
     members_of,
     min_rotation,
     normalize,
@@ -71,6 +74,10 @@ SCHEMA_GRT = "GRT"
 SCHEMA_LR = "LR"
 SCHEMA_LR_OUT = "LR-Out"
 SCHEMA_LR_IN = "LR-In"
+
+# schema -> the kind of rule it applies, in discovery order
+SCHEMAS = {SCHEMA_GRT: GlobalRule, SCHEMA_LR: PlainRule,
+           SCHEMA_LR_OUT: OutRule, SCHEMA_LR_IN: InRule}
 
 STRATEGIES = ("single", "random-k", "maximal")
 
@@ -196,7 +203,7 @@ def find_redexes(rules, mt: Pattern, match_cap: int = DEFAULT_MATCH_CAP, *,
     """The reduction labels of ``mt`` under the freeze discipline.
 
     Deterministic order: sites innermost first and the root last (see
-    :func:`compartment_sites`), then schema (GRT, LR, LR-Out, LR-In), then
+    :func:`compartment_sites`), then schema (in :data:`SCHEMAS` order), then
     rule/occurrence order, then match order.  Congruent decompositions
     yielding the same label are emitted once.
 
@@ -243,49 +250,41 @@ def _site_labels(rules, site_path: tuple, loop, content: Pattern,
     """The labels matched at one site; ``loop`` encloses it (None at root)."""
     members = members_of(content)
     unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
+    for schema, rule, path, held, crossed in _candidates(
+            rules, site_path, loop, members, unmarked):
+        pool = tuple(i for i in unmarked if i not in held)
+        m_insts = (({},) if crossed is None else match_seq_rotations(
+            rule.lhs_mem, crossed.membrane, {}, budget))
+        for m_inst in m_insts:
+            for inst, used in _hits(rule, members, pool, m_inst, budget):
+                yield ReductionLabel(
+                    schema, rule, path, _binding_items(inst),
+                    _residue(schema, members, {*held, *used}, crossed))
 
-    def label(schema, rule, path, inst, residue):
-        return ReductionLabel(schema, rule, path, _binding_items(inst),
-                              residue)
 
-    for rule in rules:
-        for inst, _ in _hits(rule, members, unmarked, {}, budget):
-            yield label(SCHEMA_GRT, rule, site_path, inst, EPS)
-
-    for ri in unmarked:
-        occ = members[ri]
-        if not isinstance(occ, PlainRule):
+def _candidates(rules, site_path: tuple, loop, members: tuple,
+                unmarked: tuple):
+    """``(schema, rule, path, held, crossed)`` per rule that may fire at a
+    site, in :data:`SCHEMAS` order: ``held`` are the member indices kept out
+    of the match (the occurrence, the LR-In target), ``crossed`` the membrane
+    node the rule's membrane side must match, or None."""
+    for schema, kind in SCHEMAS.items():
+        if kind is GlobalRule:
+            for rule in rules:
+                yield schema, rule, site_path, (), None
             continue
-        pool = tuple(i for i in unmarked if i != ri)
-        for inst, used in _hits(occ, members, pool, {}, budget):
-            yield label(SCHEMA_LR, occ, site_path, inst,
-                        _residue(members, {ri, *used}))
-
-    if loop is not None and not loop.mem_frozen:
         for ri in unmarked:
             occ = members[ri]
-            if not isinstance(occ, OutRule):
+            if not isinstance(occ, kind):
                 continue
-            pool = tuple(i for i in unmarked if i != ri)
-            for m_inst in match_seq_rotations(occ.lhs_mem, loop.membrane, {},
-                                              budget):
-                for inst, used in _hits(occ, members, pool, m_inst, budget):
-                    yield label(SCHEMA_LR_OUT, occ, site_path[:-1], inst,
-                                _residue(members, {ri, *used}))
-
-    for ri in unmarked:
-        occ = members[ri]
-        if not isinstance(occ, InRule):
-            continue
-        for li, m in enumerate(members):
-            if li == ri or not isinstance(m, Loop) or m.mem_frozen:
-                continue
-            pool = tuple(i for i in unmarked if i not in (ri, li))
-            for m_inst in match_seq_rotations(occ.lhs_mem, m.membrane, {},
-                                              budget):
-                for inst, _ in _hits(occ, members, pool, m_inst, budget):
-                    yield label(SCHEMA_LR_IN, occ, site_path, inst,
-                                normalize(erase(m.content)))
+            if kind is PlainRule:
+                yield schema, occ, site_path, (ri,), None
+            elif kind is InRule:
+                for li, m in enumerate(members):
+                    if li != ri and isinstance(m, Loop) and not m.mem_frozen:
+                        yield schema, occ, site_path, (ri, li), m
+            elif loop is not None and not loop.mem_frozen:
+                yield schema, occ, site_path[:-1], (ri,), loop
 
 
 def _hits(rule, members: tuple, pool: tuple, m_inst: dict, budget: _Budget):
@@ -309,7 +308,14 @@ def _rhs_ok(rule, inst: dict) -> bool:
     return True
 
 
-def _residue(members: tuple, consumed: set) -> Pattern:
+def _residue(schema: str, members: tuple, consumed: set,
+             crossed) -> Pattern:
+    """What a label stores of its site, mark-free: eps for GRT, the target's
+    content for LR-In, otherwise the members left beside the rule."""
+    if schema == SCHEMA_GRT:
+        return EPS
+    if schema == SCHEMA_LR_IN:
+        return normalize(erase(crossed.content))
     rest = tuple(m for i, m in enumerate(members) if i not in consumed)
     return normalize(erase(Par(rest)))
 
@@ -321,22 +327,60 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     """Apply one label, enforcing the freeze discipline; raises on staleness.
 
     Deterministic re-location: the first unmarked fit (by member index) of
-    the instantiated pieces, cross-checked against the stored residue.
+    the instantiated pieces, cross-checked against the stored residue.  A
+    label whose rule is not of the kind :data:`SCHEMAS` gives its schema
+    is stale.
     """
+    schema, rule = label.schema, label.rule
+    if SCHEMAS.get(schema) is not type(rule):
+        raise StaleLabelError(
+            f"schema {schema!r} does not apply a {type(rule).__name__}")
     mt = normalize(mt)
     inst = label.binding_dict()
-    if label.schema == SCHEMA_GRT:
-        return _apply_grt(mt, label, inst)
-    if label.schema == SCHEMA_LR:
-        return _apply_lr(mt, label, inst)
-    if label.schema == SCHEMA_LR_OUT:
-        return _apply_out(mt, label, inst)
-    if label.schema == SCHEMA_LR_IN:
-        return _apply_in(mt, label, inst)
-    raise StaleLabelError(f"unknown schema {label.schema!r}")
+    site = node_at(mt, label.path)
+    crossed = None
+    if schema == SCHEMA_LR_OUT:
+        crossed = site
+        if not isinstance(site, Loop) or site.mem_frozen:
+            raise StaleLabelError("membrane to cross is gone or already frozen")
+        if min_rotation(subst_seq(rule.lhs_mem, inst)) != site.membrane:
+            raise StaleLabelError("membrane no longer matches the rule")
+        site = site.content
+    members = members_of(site)
+    held = ()
+    if schema != SCHEMA_GRT:
+        if rule not in members:
+            raise StaleLabelError("rule occurrence is gone")
+        held = (members.index(rule),)
+    if schema == SCHEMA_LR_IN:
+        mem = min_rotation(subst_seq(rule.lhs_mem, inst))
+        li = next((i for i, m in enumerate(members)
+                   if i not in held and isinstance(m, Loop)
+                   and not m.mem_frozen and m.membrane == mem
+                   and normalize(erase(m.content)) == label.residue), None)
+        if li is None:
+            raise StaleLabelError("target membrane is gone or already frozen")
+        held += (li,)
+        crossed = members[li]
+    taken = _take(members, rule.lhs, inst, held)
+    if _residue(schema, members, taken.union(held), crossed) != label.residue:
+        raise StaleLabelError("stored residue does not match the site")
+    produced = Frozen(substitute(rule.rhs, inst))
+    rest = [m for i, m in enumerate(members) if i not in taken]
+    if schema == SCHEMA_LR_OUT:
+        # the produced material leaves across the crossed membrane
+        new = Par((produced, _crossed(rule, inst, rest)))
+    elif schema == SCHEMA_LR_IN:
+        # the produced material enters the target membrane
+        rest.remove(crossed)
+        new = _rebuild([*rest, _crossed(
+            rule, inst, [*members_of(crossed.content), produced])])
+    else:
+        new = _rebuild([*rest, produced])
+    return normalize(replace_at(mt, label.path, new))
 
 
-def _take(members: tuple, lhs: Pattern, inst: dict, excluded: set):
+def _take(members: tuple, lhs: Pattern, inst: dict, excluded: tuple):
     needed = members_of(substitute(lhs, inst))
     if not needed:
         raise StaleLabelError("matched material instantiates to eps")
@@ -352,79 +396,10 @@ def _rebuild(members) -> Pattern:
     return normalize(Par(tuple(members)))
 
 
-def _check_residue(members: tuple, consumed: set, expected: Pattern) -> None:
-    if _residue(members, consumed) != expected:
-        raise StaleLabelError("stored residue does not match the site")
-
-
-def _apply_grt(mt, label, inst):
-    content = node_at(mt, label.path)
-    members = members_of(content)
-    if label.residue != EPS:
-        raise StaleLabelError("global redexes carry an empty residue")
-    taken = _take(members, label.rule.lhs, inst, set())
-    keep = [m for i, m in enumerate(members) if i not in taken]
-    produced = Frozen(substitute(label.rule.rhs, inst))
-    return normalize(replace_at(mt, label.path, _rebuild([*keep, produced])))
-
-
-def _find_occurrence(members: tuple, rule) -> int:
-    for i, m in enumerate(members):
-        if m == rule:
-            return i
-    raise StaleLabelError("rule occurrence is gone")
-
-
-def _apply_lr(mt, label, inst):
-    content = node_at(mt, label.path)
-    members = members_of(content)
-    ri = _find_occurrence(members, label.rule)
-    taken = _take(members, label.rule.lhs, inst, {ri})
-    _check_residue(members, taken | {ri}, label.residue)
-    keep = [m for i, m in enumerate(members) if i not in taken and i != ri]
-    produced = Frozen(substitute(label.rule.rhs, inst))
-    site = _rebuild([*keep, members[ri], produced])
-    return normalize(replace_at(mt, label.path, site))
-
-
-def _apply_out(mt, label, inst):
-    lp = node_at(mt, label.path)
-    if not isinstance(lp, Loop) or lp.mem_frozen:
-        raise StaleLabelError("membrane to cross is gone or already frozen")
-    if min_rotation(subst_seq(label.rule.lhs_mem, inst)) != lp.membrane:
-        raise StaleLabelError("membrane no longer matches the rule")
-    members = members_of(lp.content)
-    ri = _find_occurrence(members, label.rule)
-    taken = _take(members, label.rule.lhs, inst, {ri})
-    _check_residue(members, taken | {ri}, label.residue)
-    keep = [m for i, m in enumerate(members) if i not in taken and i != ri]
-    new_loop = Loop(min_rotation(subst_seq(label.rule.rhs_mem, inst)),
-                    _rebuild([*keep, members[ri]]), mem_frozen=True)
-    ejected = Frozen(substitute(label.rule.rhs, inst))
-    return normalize(replace_at(mt, label.path, Par((ejected, new_loop))))
-
-
-def _apply_in(mt, label, inst):
-    content = node_at(mt, label.path)
-    members = members_of(content)
-    ri = _find_occurrence(members, label.rule)
-    mem = min_rotation(subst_seq(label.rule.lhs_mem, inst))
-    li = next((i for i, m in enumerate(members)
-               if i != ri and isinstance(m, Loop) and not m.mem_frozen
-               and m.membrane == mem
-               and normalize(erase(m.content)) == label.residue), None)
-    if li is None:
-        raise StaleLabelError("target membrane is gone or already frozen")
-    taken = _take(members, label.rule.lhs, inst, {ri, li})
-    target = members[li]
-    injected = Frozen(substitute(label.rule.rhs, inst))
-    new_loop = Loop(min_rotation(subst_seq(label.rule.rhs_mem, inst)),
-                    _rebuild([*members_of(target.content), injected]),
-                    mem_frozen=True)
-    keep = [m for i, m in enumerate(members)
-            if i not in taken and i not in (ri, li)]
-    site = _rebuild([*keep, members[ri], new_loop])
-    return normalize(replace_at(mt, label.path, site))
+def _crossed(rule, inst: dict, content: list) -> Loop:
+    """The membrane a crossing rule rewrote, frozen for the rest of the step."""
+    return Loop(min_rotation(subst_seq(rule.rhs_mem, inst)), _rebuild(content),
+                mem_frozen=True)
 
 
 # --------------------------------------------------------------------------
@@ -509,13 +484,7 @@ def parallel_reduce(term: Pattern, rules, strategy: str = "maximal",
 
 def replay(trace: Trace) -> Pattern:
     """Re-apply every label of a trace; returns the final term it reaches."""
-    cur = normalize(trace.initial)
-    for rnd in trace.rounds:
-        mt = cur
-        for lbl in rnd:
-            mt = apply_label(mt, lbl)
-        cur = normalize(erase(mt))
-    return cur
+    return _replay(trace, strict=False)
 
 
 def verify_decomposition(trace: Trace) -> bool:
@@ -527,43 +496,34 @@ def verify_decomposition(trace: Trace) -> bool:
     valid; a hand-built label that rewrites inside a frozen region is not.
     """
     try:
-        cur = normalize(trace.initial)
-        if has_marks(cur):
-            return False
-        for rnd in trace.rounds:
-            mt = cur
-            for lbl in rnd:
-                mt = apply_label(mt, lbl)
-                if not _marks_sane(mt, inside_mark=False):
-                    return False
-            cur = normalize(erase(mt))
-        return cur == normalize(trace.final)
+        return (not has_marks(normalize(trace.initial))
+                and _replay(trace, strict=True) == normalize(trace.final))
     except (StaleLabelError, UnboundVariableError, MatchCapError):
         return False
 
 
+def _replay(trace: Trace, strict: bool) -> Pattern:
+    """The term the labels reach, round by round; with ``strict`` a label
+    that leaves nested marks or marks inside a rule body is stale."""
+    cur = normalize(trace.initial)
+    for rnd in trace.rounds:
+        mt = cur
+        for lbl in rnd:
+            mt = apply_label(mt, lbl)
+            if strict and not _marks_sane(mt, inside_mark=False):
+                raise StaleLabelError("marks nest or occur inside a rule body")
+        cur = normalize(erase(mt))
+    return cur
+
+
 def _marks_sane(p: Pattern, inside_mark: bool) -> bool:
     """Marks never nest and never occur inside rule bodies."""
+    if not has_marks(p):
+        return True
     if isinstance(p, Frozen):
         return not inside_mark and _marks_sane(p.body, True)
     if isinstance(p, Loop):
         return _marks_sane(p.content, inside_mark)
     if isinstance(p, Par):
         return all(_marks_sane(m, inside_mark) for m in p.parts)
-    if isinstance(p, PlainRule):
-        return not (has_any_mark_node(p.lhs) or has_any_mark_node(p.rhs))
-    if isinstance(p, (OutRule, InRule)):
-        return not (has_any_mark_node(p.lhs) or has_any_mark_node(p.rhs))
-    return True
-
-
-def has_any_mark_node(p: Pattern) -> bool:
-    if isinstance(p, Frozen):
-        return True
-    if isinstance(p, Loop):
-        return p.mem_frozen or has_any_mark_node(p.content)
-    if isinstance(p, Par):
-        return any(has_any_mark_node(m) for m in p.parts)
-    if isinstance(p, (PlainRule, OutRule, InRule)):
-        return has_any_mark_node(p.lhs) or has_any_mark_node(p.rhs)
-    return False
+    return False  # a local rule with a mark in its body

@@ -220,10 +220,8 @@ def _match_seq(pat: tuple[Atom, ...], term: tuple[Atom, ...],
 
 
 def match_seq_rotations(pat: tuple[Atom, ...], term: tuple[Atom, ...],
-                        inst: Instantiation, budget: _Budget | None = None,
-                        cap: int = DEFAULT_MATCH_CAP):
+                        inst: Instantiation, budget: _Budget):
     """Match a membrane sequence against every rotation of a ground membrane."""
-    budget = budget or _Budget(cap)
     if not term:
         yield from _match_seq(pat, (), inst, budget)
         return

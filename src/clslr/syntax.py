@@ -298,7 +298,10 @@ class _Parser:
             if tok.kind == "kw" and tok.text == "element":
                 self.parse_element_decl(model)
             elif tok.kind == "kw" and tok.text == "global":
-                self.parse_global_decl(model)
+                self.next()
+                rule = self.parse_global(tok.line, tok.col)
+                model.globals = (*model.globals, rule)
+                self.eat(";")
             elif tok.kind == "kw" and tok.text == "option":
                 self.parse_option_decl(model)
             else:
@@ -331,17 +334,15 @@ class _Parser:
         self.eat(";")
         model.elements[name.text] = frozenset(letters)
 
-    def parse_global_decl(self, model: ModelFile):
-        kw = self.expect("global")
+    def parse_global(self, line: int, col: int) -> GlobalRule:
+        """``P => P``; a well-formedness defect is reported at ``line:col``."""
         lhs = self.parse_par()
         self.expect("=>")
-        rhs = self.parse_par()
-        self.eat(";")
-        rule = GlobalRule(lhs, rhs)
+        rule = GlobalRule(lhs, self.parse_par())
         for clause in global_rule_violations(rule):
             raise IllFormedRuleError(clause, _CLAUSE_MESSAGES[clause],
-                                     kw.line, kw.col, self.path)
-        model.globals = (*model.globals, rule)
+                                     line, col, self.path)
+        return rule
 
     def parse_option_decl(self, model: ModelFile):
         self.expect("option")
@@ -356,44 +357,32 @@ class _Parser:
 # --------------------------------------------------------------------------
 # entry points
 
-def parse_model(text: str, path: str | None = None) -> ModelFile:
+def _parse_all(text: str, path: str | None, parse):
+    """``parse`` applied to a fresh parser over ``text``, which it must use up."""
     p = _Parser(text, path)
-    model = p.parse_model()
+    out = parse(p)
     p.expect_eof()
-    return model
+    return out
+
+
+def parse_model(text: str, path: str | None = None) -> ModelFile:
+    return _parse_all(text, path, _Parser.parse_model)
 
 
 def parse_pattern_text(text: str, path: str | None = None) -> Pattern:
-    p = _Parser(text, path)
-    pat = p.parse_par()
-    p.expect_eof()
-    return pat
+    return _parse_all(text, path, _Parser.parse_par)
 
 
 def parse_seq_text(text: str, path: str | None = None) -> tuple:
-    p = _Parser(text, path)
-    atoms = p.parse_seq_atoms()
-    p.expect_eof()
-    return atoms
+    return _parse_all(text, path, _Parser.parse_seq_atoms)
 
 
 def parse_global_text(text: str, path: str | None = None) -> GlobalRule:
-    p = _Parser(text, path)
-    lhs = p.parse_par()
-    p.expect("=>")
-    rhs = p.parse_par()
-    p.expect_eof()
-    rule = GlobalRule(lhs, rhs)
-    for clause in global_rule_violations(rule):
-        raise IllFormedRuleError(clause, _CLAUSE_MESSAGES[clause], 1, 1, path)
-    return rule
+    return _parse_all(text, path, lambda p: p.parse_global(1, 1))
 
 
 def parse_local_rule_text(text: str, path: str | None = None) -> LocalRule:
-    p = _Parser(text, path)
-    rule = p.parse_rule()
-    p.expect_eof()
-    return rule
+    return _parse_all(text, path, _Parser.parse_rule)
 
 
 def render(p: Pattern) -> str:
@@ -403,6 +392,11 @@ def render(p: Pattern) -> str:
 
 def render_global(rule: GlobalRule) -> str:
     return f"{render(rule.lhs)} => {render(rule.rhs)}"
+
+
+def rule_text(rule: GlobalRule | LocalRule) -> str:
+    """Canonical surface text of a global or a local rule."""
+    return render_global(rule) if isinstance(rule, GlobalRule) else render(rule)
 
 
 def merge_elements(base: dict, extra: dict, path: str | None = None) -> dict:
@@ -430,12 +424,6 @@ def _sigma_to_json(label: ReductionLabel) -> dict:
     return out
 
 
-def _rule_to_json(label: ReductionLabel) -> str:
-    if isinstance(label.rule, GlobalRule):
-        return render_global(label.rule)
-    return render(label.rule)
-
-
 def trace_to_json(trace: Trace) -> str:
     steps = []
     for rnum, rnd in enumerate(trace.rounds, 1):
@@ -443,7 +431,7 @@ def trace_to_json(trace: Trace) -> str:
             steps.append({
                 "round": rnum,
                 "schema": lbl.schema,
-                "rule": _rule_to_json(lbl),
+                "rule": rule_text(lbl.rule),
                 "path": list(lbl.path),
                 "sigma": _sigma_to_json(lbl),
                 "residue": render(lbl.residue),

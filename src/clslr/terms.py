@@ -294,12 +294,10 @@ def _canonical_text(p: Pattern) -> str:
         return "$" + p.name
     if isinstance(p, PlainRule):
         return f"{{ {canonical_text(p.lhs)} => {canonical_text(p.rhs)} }}"
-    if isinstance(p, OutRule):
-        return (f"{{ {canonical_text(p.lhs)} ^ {seq_text(p.lhs_mem)}"
-                f" => {canonical_text(p.rhs)} ^ {seq_text(p.rhs_mem)} }}")
-    if isinstance(p, InRule):
-        return (f"{{ {canonical_text(p.lhs)} @ {seq_text(p.lhs_mem)}"
-                f" => {canonical_text(p.rhs)} @ {seq_text(p.rhs_mem)} }}")
+    if isinstance(p, (OutRule, InRule)):
+        side = "^" if isinstance(p, OutRule) else "@"
+        return (f"{{ {canonical_text(p.lhs)} {side} {seq_text(p.lhs_mem)}"
+                f" => {canonical_text(p.rhs)} {side} {seq_text(p.rhs_mem)} }}")
     if isinstance(p, Frozen):
         body = canonical_text(p.body)
         return f"!({body})" if isinstance(p.body, Par) else "!" + body
@@ -355,10 +353,8 @@ def _normalize(p: Pattern) -> Pattern:
         return p
     if isinstance(p, PlainRule):
         return PlainRule(normalize(p.lhs), normalize(p.rhs))
-    if isinstance(p, OutRule):
-        return OutRule(normalize(p.lhs), p.lhs_mem, normalize(p.rhs), p.rhs_mem)
-    if isinstance(p, InRule):
-        return InRule(normalize(p.lhs), p.lhs_mem, normalize(p.rhs), p.rhs_mem)
+    if isinstance(p, (OutRule, InRule)):
+        return type(p)(normalize(p.lhs), p.lhs_mem, normalize(p.rhs), p.rhs_mem)
     if isinstance(p, Loop):
         content = normalize(p.content)
         mem = min_rotation(p.membrane)
@@ -417,41 +413,38 @@ def pattern_vars(p: Pattern, include_rule_bodies: bool = True) -> frozenset:
     is the notion used for groundness.  Well-formedness uses the inclusive
     notion.
     """
-    out: set = set()
+    return frozenset(var_occurrences(p, include_rule_bodies))
 
-    def walk_seq(items: tuple[Atom, ...]) -> None:
-        for a in items:
-            if isinstance(a, (ElemVar, SeqVar)):
-                out.add(a)
 
-    def walk(q: Pattern) -> None:
-        if isinstance(q, Seq):
-            walk_seq(q.items)
-        elif isinstance(q, Loop):
-            walk_seq(q.membrane)
-            walk(q.content)
-        elif isinstance(q, Par):
-            for m in q.parts:
-                walk(m)
-        elif isinstance(q, TermVar):
-            out.add(q)
-        elif isinstance(q, PlainRule):
-            if include_rule_bodies:
-                walk(q.lhs)
-                walk(q.rhs)
-        elif isinstance(q, (OutRule, InRule)):
-            if include_rule_bodies:
-                walk(q.lhs)
-                walk_seq(q.lhs_mem)
-                walk(q.rhs)
-                walk_seq(q.rhs_mem)
-        elif isinstance(q, Frozen):
-            walk(q.body)
-        else:
-            raise TypeError(f"not a pattern: {q!r}")
+def var_occurrences(p: Pattern, include_rule_bodies: bool = True):
+    """Every occurrence of a variable node in ``p``, repeats included.
 
-    walk(p)
-    return frozenset(out)
+    ``include_rule_bodies`` is as for :func:`pattern_vars`.
+    """
+    if isinstance(p, Seq):
+        yield from _seq_vars(p.items)
+    elif isinstance(p, Loop):
+        yield from _seq_vars(p.membrane)
+        yield from var_occurrences(p.content, include_rule_bodies)
+    elif isinstance(p, Par):
+        for m in p.parts:
+            yield from var_occurrences(m, include_rule_bodies)
+    elif isinstance(p, TermVar):
+        yield p
+    elif isinstance(p, LocalRule):
+        if include_rule_bodies:
+            yield from var_occurrences(p.lhs)
+            yield from var_occurrences(p.rhs)
+            if not isinstance(p, PlainRule):
+                yield from _seq_vars(p.lhs_mem + p.rhs_mem)
+    elif isinstance(p, Frozen):
+        yield from var_occurrences(p.body, include_rule_bodies)
+    else:
+        raise TypeError(f"not a pattern: {p!r}")
+
+
+def _seq_vars(items: tuple[Atom, ...]):
+    return (a for a in items if isinstance(a, (ElemVar, SeqVar)))
 
 
 def is_ground(p: Pattern) -> bool:
@@ -459,8 +452,8 @@ def is_ground(p: Pattern) -> bool:
     return not pattern_vars(p, include_rule_bodies=False)
 
 
-def local_rule_violations(r: LocalRule) -> tuple[str, ...]:
-    """Well-formedness defects of a single local rule node.
+def local_rule_violations(r: LocalRule | GlobalRule) -> tuple[str, ...]:
+    """Well-formedness defects of a single rule node.
 
     Codes: ``empty-lhs`` (the left side is congruent to eps), ``rhs-vars``
     (the right side mentions a variable the left side does not), and
@@ -479,45 +472,18 @@ def local_rule_violations(r: LocalRule) -> tuple[str, ...]:
     return tuple(out)
 
 
-def well_formed_local_rule(r: LocalRule) -> bool:
-    return not local_rule_violations(r)
-
-
 def global_rule_violations(g: GlobalRule) -> tuple[str, ...]:
-    out: list[str] = []
-    if normalize(g.lhs) is EPS:
-        out.append("empty-lhs")
-    if not pattern_vars(g.rhs) <= pattern_vars(g.lhs):
-        out.append("rhs-vars")
-    return tuple(out)
-
-
-def rule_nodes(p: Pattern):
-    """Every local rule node in ``p``, outermost first, including nested ones."""
-    if isinstance(p, (Seq, TermVar)):
-        return
-    if isinstance(p, Loop):
-        yield from rule_nodes(p.content)
-    elif isinstance(p, Par):
-        for m in p.parts:
-            yield from rule_nodes(m)
-    elif isinstance(p, PlainRule):
-        yield p
-        yield from rule_nodes(p.lhs)
-        yield from rule_nodes(p.rhs)
-    elif isinstance(p, (OutRule, InRule)):
-        yield p
-        yield from rule_nodes(p.lhs)
-        yield from rule_nodes(p.rhs)
-    elif isinstance(p, Frozen):
-        yield from rule_nodes(p.body)
+    """The clauses of :func:`local_rule_violations` that a global rule, which
+    has no membrane sides, can break."""
+    return local_rule_violations(g)
 
 
 # --------------------------------------------------------------------------
 # marks
 
 def has_marks(p: Pattern) -> bool:
-    """True when the subtree carries any frozen mark (node or membrane)."""
+    """True when the subtree carries any frozen mark (node or membrane),
+    rule bodies included."""
     try:
         marks = p._marks
     except AttributeError:
@@ -536,9 +502,8 @@ def _has_marks(p: Pattern) -> bool:
         return p.mem_frozen or has_marks(p.content)
     if isinstance(p, Par):
         return any(has_marks(m) for m in p.parts)
-    if isinstance(p, (PlainRule, OutRule, InRule)):
-        # marks never appear inside rule bodies
-        return False
+    if isinstance(p, LocalRule):
+        return has_marks(p.lhs) or has_marks(p.rhs)
     raise TypeError(f"not a pattern: {p!r}")
 
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 from .matching import Instantiation, UnboundVariableError
 from .terms import (
-    Atom,
     Element,
     ElemVar,
     Frozen,
@@ -57,6 +56,7 @@ from .terms import (
     GlobalRule,
     atom_text,
     canonical_text,
+    var_occurrences,
 )
 
 FEATURE_ORDER = "drseoi"
@@ -117,42 +117,14 @@ class Classification:
 # --------------------------------------------------------------------------
 # rule features
 
-def _occurrences(p: Pattern) -> Counter:
-    """Occurrence counts of variables in ``p``, treating rule bodies as opaque."""
-    out: Counter = Counter()
-
-    def walk_seq(items: tuple[Atom, ...]) -> None:
-        for a in items:
-            if isinstance(a, (ElemVar, SeqVar)):
-                out[a] += 1
-
-    def walk(q: Pattern) -> None:
-        if isinstance(q, Seq):
-            walk_seq(q.items)
-        elif isinstance(q, Loop):
-            walk_seq(q.membrane)
-            walk(q.content)
-        elif isinstance(q, Par):
-            for m in q.parts:
-                walk(m)
-        elif isinstance(q, TermVar):
-            out[q] += 1
-        elif isinstance(q, Frozen):
-            walk(q.body)
-        # rules: opaque
-
-    walk(p)
-    return out
-
-
 def features(r: LocalRule) -> MembraneType:
     """Feature letters exhibited by a local rule.
 
     The d/r/s/e clauses are computed over the two sides (membrane sequences
     of in/out rules excluded); crossing rules add their direction letter.
     """
-    occ1 = _occurrences(r.lhs)
-    occ2 = _occurrences(r.rhs)
+    occ1 = Counter(var_occurrences(r.lhs, include_rule_bodies=False))
+    occ2 = Counter(var_occurrences(r.rhs, include_rule_bodies=False))
     out: set = set()
     if set(occ1) > set(occ2):
         out.add("d")
@@ -231,10 +203,6 @@ def membrane_type(basis, classif: Classification, sp, *,
     return frozenset(out)
 
 
-def type_seq(basis, classif: Classification, sp) -> MembraneType:
-    return membrane_type(basis, classif, sp)
-
-
 def _head_tail(tau: PatternType) -> tuple[MembraneType, PatternType]:
     # the empty list decomposes as empty head, empty tail (padding view)
     if not tau:
@@ -301,31 +269,22 @@ def check_global(basis, classif: Classification, g: GlobalRule) -> bool:
 
 def infer_basis(inst: Instantiation, classif: Classification) -> dict:
     """The basis assigning every variable of ``inst`` the type of its image."""
-    out: dict = {}
-    for var, image in inst.items():
-        if isinstance(var, ElemVar):
-            out[var] = membrane_type({}, classif, (image,))
-        elif isinstance(var, SeqVar):
-            out[var] = membrane_type({}, classif, image)
-        elif isinstance(var, TermVar):
-            out[var] = pattern_type({}, classif, image)
-        else:
-            raise TypeError(f"not a variable: {var!r}")
-    return out
+    return {var: _image_type(var, image, classif)
+            for var, image in inst.items()}
 
 
 def agrees(inst: Instantiation, basis, classif: Classification) -> bool:
     """True when every basis entry is matched exactly by the image's type."""
-    for var, expected in basis.items():
-        if var not in inst:
-            return False
-        image = inst[var]
-        if isinstance(var, ElemVar):
-            got = membrane_type({}, classif, (image,))
-        elif isinstance(var, SeqVar):
-            got = membrane_type({}, classif, image)
-        else:
-            got = pattern_type({}, classif, image)
-        if got != expected:
-            return False
-    return True
+    return all(var in inst and _image_type(var, inst[var], classif) == expected
+               for var, expected in basis.items())
+
+
+def _image_type(var, image, classif: Classification):
+    """The type of ``image`` as the value of the variable ``var``."""
+    if isinstance(var, ElemVar):
+        return membrane_type({}, classif, (image,))
+    if isinstance(var, SeqVar):
+        return membrane_type({}, classif, image)
+    if isinstance(var, TermVar):
+        return pattern_type({}, classif, image)
+    raise TypeError(f"not a variable: {var!r}")

@@ -15,7 +15,7 @@ missing from a strict classification do raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 
 from .engine import (
     DEFAULT_MATCH_CAP,
@@ -35,19 +35,11 @@ from .typecheck import (
     SideConditionError,
     TypingError,
     check_global,
+    contained,
     infer_basis,
     membrane_type,
     pattern_type,
 )
-
-
-@dataclass(frozen=True)
-class TypedModel:
-    """A term together with its global rules and element classification."""
-
-    term: Pattern
-    globals: tuple = ()
-    classif: Classification = field(default_factory=lambda: Classification({}))
 
 
 def _enclosing_membrane(mt: Pattern, label: ReductionLabel):
@@ -89,12 +81,8 @@ def typed_ok(mt: Pattern, label: ReductionLabel, classif: Classification) -> boo
 def typed_find_redexes(rules, model_term: Pattern, classif: Classification,
                        match_cap: int = DEFAULT_MATCH_CAP) -> list:
     """Every label of ``model_term`` that :func:`typed_ok` admits, in order."""
-
-    def fltr(mt, lbl):
-        return typed_ok(mt, lbl, classif)
-
     return find_redexes(rules, model_term, match_cap=match_cap,
-                        label_filter=fltr)
+                        label_filter=partial(typed_ok, classif=classif))
 
 
 def typed_run(term: Pattern, rules, classif: Classification, *, steps: int = 1,
@@ -106,13 +94,9 @@ def typed_run(term: Pattern, rules, classif: Classification, *, steps: int = 1,
     The filter consults the current term, so it is re-evaluated as the
     term evolves within a parallel step.
     """
-
-    def fltr(mt, lbl):
-        return typed_ok(mt, lbl, classif)
-
     return run(term, rules, steps=steps, strategy=strategy, seed=seed,
                k=k, match_cap=match_cap, step_cap=step_cap,
-               label_filter=fltr)
+               label_filter=partial(typed_ok, classif=classif))
 
 
 def typed_parallel_reduce(term: Pattern, rules, classif: Classification,
@@ -129,8 +113,6 @@ def subject_reduction_check(before: Pattern, after: Pattern,
                             classif: Classification,
                             basis: dict | None = None) -> bool:
     """Whether the type of ``after`` is contained in the type of ``before``."""
-    from .typecheck import contained
-
     basis = basis or {}
     try:
         t_before = pattern_type(basis, classif, normalize(before))

@@ -127,6 +127,25 @@ def test_replay_rejects_malformed_document(tmp_path, capsys):
     assert "malformed trace" in err
 
 
+def test_replay_rejects_schema_that_does_not_fit_its_rule(tmp_path):
+    model = tmp_path / "m.clslr"
+    model.write_text("a | { a => b }\n")
+    tr = tmp_path / "out.trace.json"
+    assert main(["run", str(model), "--format", "json", "--out", str(tr)]) == 0
+    doc = json.loads(tr.read_text())
+    assert [step["schema"] for step in doc["steps"]] == ["LR"]
+    doc["steps"][0]["schema"] = "LR-In"
+    tr.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = prepend(SRC, env.get("PYTHONPATH"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clslr.cli", "replay", str(tr)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{tr}:1:1: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_parse_error_diagnostic(tmp_path, capsys):
     p = tmp_path / "m.clslr"
     p.write_text("a |\nloop(m)[\n")

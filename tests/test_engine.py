@@ -1,5 +1,9 @@
 """Redex discovery, the four schemas, freeze discipline, traces."""
 
+import dataclasses
+import importlib
+import importlib.util
+
 import pytest
 from hypothesis import given, strategies as st
 from pathlib import Path
@@ -33,7 +37,9 @@ from clslr.terms import (
     Element,
     Frozen,
     GlobalRule,
+    InRule,
     Loop,
+    OutRule,
     Par,
     PlainRule,
     Seq,
@@ -365,6 +371,36 @@ def test_verify_rejects_marked_initial():
     assert not verify_decomposition(tr)
 
 
+def test_verify_rejects_every_schema_rule_kind_mismatch():
+    t = P("e | a | { a => b } | loop(m)[ c | { c ^ m => c ^ m } ] | "
+          "d | { d @ w => d @ w } | loop(w)[ eps ]")
+    tr = run(t, [G("e => f")], steps=1)
+    assert sorted(schemas(tr.labels)) == ["GRT", "LR", "LR-In", "LR-Out"]
+    assert verify_decomposition(tr)
+    (rnd,) = tr.rounds
+    for i, lbl in enumerate(rnd):
+        for schema in ("GRT", "LR", "LR-Out", "LR-In"):
+            if schema == lbl.schema:
+                continue
+            bad_lbl = dataclasses.replace(lbl, schema=schema)
+            bad = dataclasses.replace(
+                tr, rounds=(rnd[:i] + (bad_lbl,) + rnd[i + 1:],))
+            assert verify_decomposition(bad) is False, (lbl.schema, schema)
+            with pytest.raises(StaleLabelError):
+                apply_label(t, bad_lbl)
+
+
+@pytest.mark.parametrize("rule", [
+    PlainRule(Frozen(seq("b")), seq("c")),
+    OutRule(seq("c"), (Element("m"),), Frozen(seq("b")), (Element("m"),)),
+    InRule(Frozen(seq("b")), (Element("m"),), seq("c"), (Element("m"),)),
+])
+def test_verify_rejects_a_mark_inside_a_rule_body(rule):
+    tr = run(seq("a"), [GlobalRule(seq("a"), rule)], steps=1)
+    assert schemas(tr.labels) == ["GRT"]
+    assert not verify_decomposition(tr)
+
+
 def test_trace_labels_flatten_rounds():
     tr = run(P("a | b"), [G("a => c"), G("b => c")], steps=1)
     assert len(tr.labels) == len(tr.rounds[0])
@@ -496,3 +532,16 @@ def test_first_admitted_scan_spends_less_match_budget():
     assert [lbl.schema for lbl in tr.labels] == ["LR"]
     with pytest.raises(MatchCapError):
         run(t, [], steps=1, strategy="random-k", k=1, match_cap=50)
+
+
+# -- the traced benchmark replaces these module attributes by name
+
+def test_traced_benchmark_boundaries_exist():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.BOUNDARIES
+    for module, attr, _ in tracing.BOUNDARIES:
+        fn = getattr(importlib.import_module(f"clslr.{module}"), attr, None)
+        assert callable(fn), f"clslr.{module}.{attr}"

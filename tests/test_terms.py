@@ -334,6 +334,16 @@ def test_has_marks_and_erase():
     assert normalize(erase(t)) == normalize(Par((seq("a"), Loop((a,), seq("b")))))
 
 
+def test_has_marks_sees_marks_in_rule_bodies():
+    marked = Frozen(seq("b"))
+    for rule in (PlainRule(marked, seq("c")), PlainRule(seq("c"), marked),
+                 OutRule(marked, (a,), seq("c"), (a,)),
+                 InRule(seq("c"), (a,), marked, (a,))):
+        assert has_marks(rule)
+        assert has_marks(Loop((a,), Par((rule, seq("d")))))
+    assert not has_marks(PlainRule(seq("b"), seq("c")))
+
+
 @given(st.integers(0, 10_000))
 def test_erase_commutes_with_normalize(n):
     rng = Random(n)
