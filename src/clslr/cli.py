@@ -170,6 +170,8 @@ def cmd_run(args) -> int:
     ap_error = args.parser_error
     if (args.strategy == "random-k") != (args.k is not None):
         ap_error("--k is required exactly when --strategy is random-k")
+    if args.k is not None and args.k < 1:
+        ap_error("--k must be a positive integer")
     model = _load_model(args)
     if model.term is None:
         raise ModelSyntaxError("the model declares no term to run", 1, 1,

@@ -425,10 +425,7 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     skips (see :func:`find_redexes`).  The memo holds its nodes weakly, so
     it never keeps a term of an earlier step alive.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if (strategy == "random-k") != (k is not None):
-        raise ValueError("k is required exactly when the strategy is random-k")
+    _check_strategy(strategy, k)
     initial = normalize(term)
     if has_marks(initial):
         raise ValueError("cannot start from a marked term")
@@ -450,6 +447,17 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
         rounds.append(applied)
         cur = normalize(erase(mt))
     return Trace(initial, tuple(rounds), cur, seed, strategy, k)
+
+
+def _check_strategy(strategy: str, k) -> None:
+    """Raise ``ValueError`` unless ``strategy`` is one of :data:`STRATEGIES`
+    and ``k`` is a positive integer for ``random-k`` and None otherwise."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if (strategy == "random-k") != (k is not None):
+        raise ValueError("k is required exactly when the strategy is random-k")
+    if k is not None and (type(k) is not int or k < 1):
+        raise ValueError(f"k must be a positive integer, not {k!r}")
 
 
 def _one_round(mt, redexes, strategy, rng, k, step_cap):
@@ -508,22 +516,32 @@ def _replay(trace: Trace, strict: bool) -> Pattern:
     cur = normalize(trace.initial)
     for rnd in trace.rounds:
         mt = cur
+        sane: set = set()
         for lbl in rnd:
             mt = apply_label(mt, lbl)
-            if strict and not _marks_sane(mt, inside_mark=False):
+            if strict and not _marks_sane(mt, sane):
                 raise StaleLabelError("marks nest or occur inside a rule body")
         cur = normalize(erase(mt))
     return cur
 
 
-def _marks_sane(p: Pattern, inside_mark: bool) -> bool:
-    """Marks never nest and never occur inside rule bodies."""
-    if not has_marks(p):
+def _marks_sane(p: Pattern, sane: set) -> bool:
+    """Marks never nest and never occur inside rule bodies.
+
+    ``sane`` holds nodes already found sane; a node's verdict depends only
+    on the (interned) node, so a subtree a label left alone costs one
+    lookup.  Nodes found sane are added to it.
+    """
+    if p in sane or not has_marks(p):
         return True
     if isinstance(p, Frozen):
-        return not inside_mark and _marks_sane(p.body, True)
-    if isinstance(p, Loop):
-        return _marks_sane(p.content, inside_mark)
-    if isinstance(p, Par):
-        return all(_marks_sane(m, inside_mark) for m in p.parts)
-    return False  # a local rule with a mark in its body
+        ok = not has_marks(p.body)
+    elif isinstance(p, Loop):
+        ok = _marks_sane(p.content, sane)
+    elif isinstance(p, Par):
+        ok = all(_marks_sane(m, sane) for m in p.parts)
+    else:
+        return False  # a local rule with a mark in its body
+    if ok:
+        sane.add(p)
+    return ok

@@ -24,8 +24,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .engine import ReductionLabel, Trace, _binding_items
+from .engine import ReductionLabel, Trace, _binding_items, _check_strategy
 from .terms import (
     Element,
     ElemVar,
@@ -51,7 +52,15 @@ from .typecheck import FEATURE_ORDER, Classification
 
 KEYWORDS = frozenset({"loop", "eps", "global", "element", "option"})
 
-_TOKEN_RE = re.compile(r"[ \t\r]+|#[^\n]*|\n|=>|[A-Za-z0-9_]+|[|.()\[\]{}^@~?$:;,]")
+# one alternative per token class, a token taking the blanks after it
+# along; ``stray`` is any other character
+_TOKEN_RE = re.compile(r"""
+    (?P<word>[A-Za-z0-9_]+) [ \t\r]*
+  | (?P<punct>=>|[|.()\[\]{}^@~?$:;,]) [ \t\r]*
+  | (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<nl>\n)
+  | (?P<stray>.)
+""", re.VERBOSE)
 
 
 class ModelSyntaxError(Exception):
@@ -85,8 +94,7 @@ _CLAUSE_MESSAGES = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "kw", "punct", "eof"
     text: str
     line: int
@@ -95,26 +103,21 @@ class Token:
 
 def tokenize(text: str, path: str | None = None) -> list:
     tokens = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelSyntaxError(f"stray character {text[pos]!r}", line,
-                                   pos - bol + 1, path)
-        tok = m.group()
-        col = pos - bol + 1
-        pos = m.end()
-        if tok == "\n":
+    line, bol = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "word":
+            tok = m["word"]
+            tokens.append(Token("kw" if tok in KEYWORDS else "ident", tok,
+                                line, m.start() - bol + 1))
+        elif kind == "punct":
+            tokens.append(Token(kind, m["punct"], line, m.start() - bol + 1))
+        elif kind == "nl":
             line += 1
-            bol = pos
-            continue
-        if tok[0] in " \t\r#":
-            continue
-        if tok[0].isalnum() or tok[0] == "_":
-            kind = "kw" if tok in KEYWORDS else "ident"
-        else:
-            kind = "punct"
-        tokens.append(Token(kind, tok, line, col))
+            bol = m.end()
+        elif kind == "stray":
+            raise ModelSyntaxError(f"stray character {m.group()!r}", line,
+                                   m.start() - bol + 1, path)
     tokens.append(Token("eof", "", line, len(text) - bol + 1))
     return tokens
 
@@ -447,55 +450,86 @@ def trace_to_json(trace: Trace) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _sigma_from_json(sigma: dict) -> dict:
+def _term_from_text(text: str) -> Pattern:
+    return normalize(parse_pattern_text(text))
+
+
+def _local_rule_from_text(text: str) -> LocalRule:
+    return normalize(parse_local_rule_text(text))
+
+
+def _sigma_from_json(sigma: dict, parsed) -> dict:
     inst = {}
     for key, value in sigma.items():
         kind, name = key[0], key[1:]
         if kind == "?":
-            atoms = parse_seq_text(value)
+            atoms = parsed(parse_seq_text, value)
             if len(atoms) != 1 or not isinstance(atoms[0], Element):
                 raise ValueError(f"image of {key} must be a single element")
             inst[ElemVar(name)] = atoms[0]
         elif kind == "~":
-            inst[SeqVar(name)] = parse_seq_text(value)
+            inst[SeqVar(name)] = parsed(parse_seq_text, value)
         elif kind == "$":
-            inst[TermVar(name)] = normalize(parse_pattern_text(value))
+            inst[TermVar(name)] = parsed(_term_from_text, value)
         else:
             raise ValueError(f"unknown variable kind in {key!r}")
     return inst
 
 
 def trace_from_json(text: str, path: str | None = None) -> Trace:
+    """Read a trace written by :func:`trace_to_json`.
+
+    A document that is not such a trace, including one nested too deeply
+    for the JSON decoder or the parser, raises a :class:`ModelSyntaxError`
+    at 1:1; a text that does not parse raises where it fails.
+    """
     try:
         return _trace_from_doc(json.loads(text))
     except ModelSyntaxError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            RecursionError) as err:
         raise ModelSyntaxError(f"malformed trace document: {err}", 1, 1,
                                path) from err
 
 
 def _trace_from_doc(doc: dict) -> Trace:
+    seed = doc.get("seed", 0)
+    strategy = doc.get("strategy", "maximal")
+    k = doc.get("k")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, not {seed!r}")
+    _check_strategy(strategy, k)
+    memo: dict = {}
+
+    def parsed(parse, text):
+        """``parse(text)``, run once per distinct text: nodes are interned,
+        so a repeat gets the very node a fresh parse returns."""
+        if not isinstance(text, str):
+            return parse(text)  # fails as a fresh parse does
+        key = (parse, text)
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = parse(text)
+        return node
+
     rounds: dict[int, list] = {}
     for step in doc["steps"]:
         schema = step["schema"]
-        if schema == "GRT":
-            rule: GlobalRule | LocalRule = parse_global_text(step["rule"])
-        else:
-            rule = normalize(parse_local_rule_text(step["rule"]))
         label = ReductionLabel(
             schema=schema,
-            rule=rule,
+            rule=parsed(parse_global_text if schema == "GRT"
+                        else _local_rule_from_text, step["rule"]),
             path=tuple(s if s == "loop" else int(s) for s in step["path"]),
-            binding=_binding_items(_sigma_from_json(step["sigma"])),
-            residue=normalize(parse_pattern_text(step["residue"])),
+            binding=_binding_items(_sigma_from_json(step["sigma"], parsed)),
+            residue=parsed(_term_from_text, step["residue"]),
         )
         rounds.setdefault(int(step["round"]), []).append(label)
     return Trace(
-        initial=normalize(parse_pattern_text(doc["initial"])),
+        initial=parsed(_term_from_text, doc["initial"]),
         rounds=tuple(tuple(rounds[r]) for r in sorted(rounds)),
-        final=normalize(parse_pattern_text(doc["final"])),
-        seed=doc.get("seed", 0),
-        strategy=doc.get("strategy", "maximal"),
-        k=doc.get("k"),
+        final=parsed(_term_from_text, doc["final"]),
+        seed=seed,
+        strategy=strategy,
+        k=k,
     )

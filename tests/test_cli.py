@@ -203,6 +203,52 @@ def test_usage_errors():
     usage_error(["typecheck", MODEL, "--strict-lambda", "--permissive-lambda"])
 
 
+def test_random_k_needs_a_positive_k():
+    usage_error(["run", MODEL, "--strategy", "random-k", "--k", "0"])
+
+
+def replay_subprocess(trace_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = prepend(SRC, env.get("PYTHONPATH"))
+    return subprocess.run(
+        [sys.executable, "-m", "clslr.cli", "replay", str(trace_path)],
+        capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("header", [{"seed": [1]}, {"strategy": 7},
+                                    {"k": 2}])
+def test_replay_rejects_ill_typed_header(tmp_path, header):
+    tr = tmp_path / "out.trace.json"
+    assert main(["run", MODEL, "--steps", "1", "--format", "json",
+                 "--out", str(tr)]) == 0
+    doc = json.loads(tr.read_text())
+    doc.update(header)
+    tr.write_text(json.dumps(doc))
+    proc = replay_subprocess(tr)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{tr}:1:1: malformed trace document: "), \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["document", "residue"])
+def test_replay_rejects_deep_nesting_without_traceback(tmp_path, where):
+    tr = tmp_path / "deep.trace.json"
+    if where == "document":
+        tr.write_text("[" * 100_000)
+    else:
+        assert main(["run", MODEL, "--steps", "1", "--format", "json",
+                     "--out", str(tr)]) == 0
+        doc = json.loads(tr.read_text())
+        doc["steps"][0]["residue"] = "(" * 5_000 + "a" + ")" * 5_000
+        tr.write_text(json.dumps(doc))
+    proc = replay_subprocess(tr)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{tr}:1:1: malformed trace document: "), \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def toml_reader():
     if sys.version_info >= (3, 11):
         import tomllib

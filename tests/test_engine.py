@@ -401,6 +401,33 @@ def test_verify_rejects_a_mark_inside_a_rule_body(rule):
     assert not verify_decomposition(tr)
 
 
+def test_verify_rechecks_a_subtree_sane_before_a_label_rewrote_it():
+    # label 1 leaves a mark inside loop(m), so that loop is found sane;
+    # label 2 then puts a mark inside a rule body in the same loop
+    marked_rule = PlainRule(Frozen(seq("x")), seq("y"))
+    tr = run(P("loop(m)[ a | c ]"),
+             [G("a => b"), GlobalRule(seq("c"), marked_rule)], steps=1)
+    (rnd,) = tr.rounds
+    assert [lbl.path for lbl in rnd] == [("loop",), ("loop",)]
+    assert not verify_decomposition(tr)
+    first = Trace(tr.initial, (rnd[:1],), P("loop(m)[ b | c ]"))
+    assert verify_decomposition(first)
+
+
+def test_verify_rejects_a_frozen_membrane_inside_a_mark():
+    # a frozen membrane is a mark, so producing one nests marks
+    frozen = Loop((Element("m"),), seq("b"), mem_frozen=True)
+    tr = run(seq("a"), [GlobalRule(seq("a"), frozen)], steps=1)
+    assert schemas(tr.labels) == ["GRT"]
+    assert not verify_decomposition(tr)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 1.5])
+def test_random_k_needs_a_positive_integer_k(k):
+    with pytest.raises(ValueError):
+        run(seq("a"), [G("a => b")], strategy="random-k", k=k)
+
+
 def test_trace_labels_flatten_rounds():
     tr = run(P("a | b"), [G("a => c"), G("b => c")], steps=1)
     assert len(tr.labels) == len(tr.rounds[0])

@@ -1,10 +1,14 @@
 """Surface syntax: tokenizer, parser diagnostics, rendering, trace JSON."""
 
-import pytest
+import json
+from pathlib import Path
 from random import Random
+
+import pytest
 
 from hypothesis import given, strategies as st
 
+from clslr import bundled_model, syntax
 from clslr.engine import replay, run, verify_decomposition
 from clslr.syntax import (
     IllFormedRuleError,
@@ -17,6 +21,7 @@ from clslr.syntax import (
     parse_seq_text,
     render,
     render_global,
+    tokenize,
     trace_from_json,
     trace_to_json,
 )
@@ -39,7 +44,10 @@ from clslr.terms import (
     seq,
 )
 
-from oracles import random_pattern
+from clslr.typecheck import Classification, pattern_type
+from clslr.typed import typed_run
+
+from oracles import random_model, random_pattern
 
 P = parse_pattern_text
 
@@ -168,6 +176,71 @@ def test_error_str_carries_path():
 def test_multiline_positions():
     e = err("a |\n  b..c")
     assert e.line == 2
+
+
+# --- tokenizer ------------------------------------------------------------
+
+TOKEN_PIECES = ["a", "x_1", "Z9", "loop", "eps", "loops", "=>", "|", ".", "(",
+                ")", "[", "]", "{", "}", "^", "@", "~", "?", "$", ":", ";", ","]
+BLANK_PIECES = [" ", "  ", "\t", "\r", "\n", "# a | %=>\t", "#"]
+STRAY_PIECES = ["%", "!", "=", ">", "\u00e9", "\x0b", "'"]
+PUNCT = set("|.()[]{}^@~?$:;,")
+
+
+def without_comments(source):
+    return [line.split("#", 1)[0] for line in source.split("\n")]
+
+
+def first_stray(source):
+    """``(line, col)`` of the first character no token or blank can start."""
+    for row, line in enumerate(without_comments(source), 1):
+        col = 0
+        while col < len(line):
+            c = line[col]
+            if line.startswith("=>", col):
+                col += 2
+            elif c in " \t\r" or c in PUNCT or c == "_" or (
+                    c.isascii() and c.isalnum()):
+                col += 1
+            else:
+                return row, col + 1
+    return None
+
+
+def texts(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=40).map("".join)
+
+
+@given(texts(TOKEN_PIECES + BLANK_PIECES))
+def test_tokens_index_their_source(source):
+    lines = source.split("\n")
+    *tokens, eof = tokenize(source)
+    for tok in tokens:
+        line = lines[tok.line - 1]
+        assert line[tok.col - 1:tok.col - 1 + len(tok.text)] == tok.text
+    kept = "".join(without_comments(source))
+    for blank in " \t\r":
+        kept = kept.replace(blank, "")
+    assert "".join(tok.text for tok in tokens) == kept
+    assert (eof.kind, eof.line, eof.col) == \
+        ("eof", len(lines), len(lines[-1]) + 1)
+
+
+@given(texts(TOKEN_PIECES + BLANK_PIECES + STRAY_PIECES),
+       st.sampled_from(STRAY_PIECES))
+def test_first_stray_character_position(source, stray):
+    source += stray
+    where = first_stray(source)
+    if where is None:  # the stray was "=" of a "=>" or sat in a comment
+        tokenize(source)
+        return
+    with pytest.raises(ModelSyntaxError) as exc:
+        tokenize(source, "m.clslr")
+    line, col = where
+    assert (exc.value.line, exc.value.col) == where
+    assert exc.value.path == "m.clslr"
+    assert exc.value.message == \
+        f"stray character {source.split(chr(10))[line - 1][col - 1]!r}"
 
 
 # --- ill-formed rules -----------------------------------------------------
@@ -314,3 +387,122 @@ def test_trace_json_deterministic_bytes():
 def test_trace_json_rejects_garbage():
     with pytest.raises(ModelSyntaxError):
         trace_from_json("{\"steps\": 7}")
+
+
+def golden_trace(steps=30):
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    model.elements = merge_elements(model.elements, lam.elements)
+    return typed_run(model.term, model.globals, model.classification(),
+                     steps=steps)
+
+
+def test_trace_from_json_inverts_trace_to_json_on_golden_run():
+    tr = golden_trace()
+    assert trace_from_json(trace_to_json(tr)) == tr
+
+
+def test_trace_from_json_inverts_trace_to_json_on_random_models():
+    for seed in range(200):
+        term, globals_, entries = random_model(seed)
+        classif = Classification(entries)
+        for strategy, k in (("single", None), ("random-k", 2),
+                            ("maximal", None)):
+            tr = run(term, globals_, steps=3, strategy=strategy, seed=seed,
+                     k=k)
+            assert trace_from_json(trace_to_json(tr)) == tr, (seed, strategy)
+        try:
+            pattern_type({}, classif, term)
+        except Exception:
+            continue
+        tr = typed_run(term, globals_, classif, steps=3)
+        assert trace_from_json(trace_to_json(tr)) == tr, seed
+
+
+def test_equal_trace_texts_share_one_node():
+    tr = trace_from_json(trace_to_json(golden_trace()))
+    by_text = {}
+    for lbl in tr.labels:
+        for key, node in ((("rule", render(lbl.rule) if lbl.schema != "GRT"
+                           else render_global(lbl.rule)), lbl.rule),
+                          (("residue", render(lbl.residue)), lbl.residue)):
+            assert by_text.setdefault(key, node) is node
+    assert len(by_text) < len(tr.labels)
+
+
+def test_each_distinct_trace_text_is_tokenized_once(monkeypatch):
+    text = trace_to_json(golden_trace())
+    doc = json.loads(text)
+    # (parser, text): a text read both as a rule and as a term, say, is
+    # tokenized once by each parser
+    distinct = {("term", doc["initial"]), ("term", doc["final"])}
+    for step in doc["steps"]:
+        distinct |= {(step["schema"] == "GRT", step["rule"]),
+                     ("term", step["residue"])}
+        distinct |= {("term" if var[0] == "$" else "seq", image)
+                     for var, image in step["sigma"].items()}
+    seen = []
+    real = syntax.tokenize
+
+    def counting(text, path=None):
+        seen.append(text)
+        return real(text, path)
+
+    monkeypatch.setattr(syntax, "tokenize", counting)
+    trace_from_json(text)
+    assert sorted(seen) == sorted(text for _, text in distinct)
+
+
+def test_repeated_ill_formed_rule_text_raises_where_it_did():
+    _, tr = trace_fixture()
+    doc = json.loads(trace_to_json(tr))
+    local = [s for s in doc["steps"] if s["schema"] != "GRT"]
+    assert len(local) >= 2
+    for step in local:
+        step["rule"] = "{  eps => a }"
+    with pytest.raises(IllFormedRuleError) as exc:
+        trace_from_json(json.dumps(doc), path="t.json")
+    want = err("{  eps => a }", parse_local_rule_text)
+    assert (exc.value.clause, exc.value.line, exc.value.col, exc.value.message) \
+        == (want.clause, want.line, want.col, want.message) \
+        == ("empty-lhs", 1, 1, "rule left side must not be eps")
+
+
+@pytest.mark.parametrize("header", [
+    {"seed": [1]}, {"seed": True}, {"seed": "1"}, {"seed": 1.0},
+    {"strategy": 7}, {"strategy": "alphabetical"}, {"strategy": None},
+    {"strategy": "random-k"}, {"strategy": "random-k", "k": 0},
+    {"strategy": "random-k", "k": True}, {"strategy": "random-k", "k": "2"},
+    {"k": 2}, {"strategy": "single", "k": 1},
+])
+def test_trace_header_is_type_checked(header):
+    _, tr = trace_fixture()
+    doc = json.loads(trace_to_json(tr))
+    doc.update(header)
+    with pytest.raises(ModelSyntaxError) as exc:
+        trace_from_json(json.dumps(doc), path="t.json")
+    assert str(exc.value).startswith("t.json:1:1: malformed trace document: ")
+
+
+def test_trace_header_accepts_what_run_writes():
+    t, _ = trace_fixture()
+    tr = run(t, [], steps=2, strategy="random-k", k=1, seed=-3)
+    back = trace_from_json(trace_to_json(tr))
+    assert (back.seed, back.strategy, back.k) == (-3, "random-k", 1)
+    doc = json.loads(trace_to_json(tr))
+    for key in ("seed", "strategy", "k"):
+        del doc[key]
+    back = trace_from_json(json.dumps(doc))
+    assert (back.seed, back.strategy, back.k) == (0, "maximal", None)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    json.dumps({"steps": [], "initial": "(" * 5_000 + "a" + ")" * 5_000,
+                "final": "a"}),
+], ids=["json-nesting", "term-nesting"])
+def test_deep_trace_document_is_a_positioned_error(text):
+    with pytest.raises(ModelSyntaxError) as exc:
+        trace_from_json(text, path="t.json")
+    assert str(exc.value).startswith("t.json:1:1: malformed trace document: ")
