@@ -207,12 +207,16 @@ def test_random_k_needs_a_positive_k():
     usage_error(["run", MODEL, "--strategy", "random-k", "--k", "0"])
 
 
-def replay_subprocess(trace_path):
+def assert_replay_reports_malformed(trace_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = prepend(SRC, env.get("PYTHONPATH"))
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "clslr.cli", "replay", str(trace_path)],
         capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"{trace_path}:1:1: malformed trace document: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("header", [{"seed": [1]}, {"strategy": 7},
@@ -224,11 +228,7 @@ def test_replay_rejects_ill_typed_header(tmp_path, header):
     doc = json.loads(tr.read_text())
     doc.update(header)
     tr.write_text(json.dumps(doc))
-    proc = replay_subprocess(tr)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"{tr}:1:1: malformed trace document: "), \
-        proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_replay_reports_malformed(tr)
 
 
 @pytest.mark.parametrize("where", ["document", "residue"])
@@ -242,11 +242,7 @@ def test_replay_rejects_deep_nesting_without_traceback(tmp_path, where):
         doc = json.loads(tr.read_text())
         doc["steps"][0]["residue"] = "(" * 5_000 + "a" + ")" * 5_000
         tr.write_text(json.dumps(doc))
-    proc = replay_subprocess(tr)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"{tr}:1:1: malformed trace document: "), \
-        proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_replay_reports_malformed(tr)
 
 
 def toml_reader():

@@ -21,6 +21,7 @@ from clslr.syntax import (
     parse_seq_text,
     render,
     render_global,
+    rule_text,
     tokenize,
     trace_from_json,
     trace_to_json,
@@ -424,8 +425,7 @@ def test_equal_trace_texts_share_one_node():
     tr = trace_from_json(trace_to_json(golden_trace()))
     by_text = {}
     for lbl in tr.labels:
-        for key, node in ((("rule", render(lbl.rule) if lbl.schema != "GRT"
-                           else render_global(lbl.rule)), lbl.rule),
+        for key, node in ((("rule", rule_text(lbl.rule)), lbl.rule),
                           (("residue", render(lbl.residue)), lbl.residue)):
             assert by_text.setdefault(key, node) is node
     assert len(by_text) < len(tr.labels)
