@@ -157,13 +157,16 @@ def cmd_typecheck(args) -> int:
 def _match_cap(args, model: ModelFile) -> int:
     if args.match_cap is not None:
         return args.match_cap
-    if "match_cap" in model.options:
-        try:
-            return int(model.options["match_cap"])
-        except ValueError:
-            raise ModelSyntaxError("option match_cap needs an integer", 1, 1,
-                                   args.model) from None
-    return DEFAULT_MATCH_CAP
+    if "match_cap" not in model.options:
+        return DEFAULT_MATCH_CAP
+    try:
+        cap = int(model.options["match_cap"])
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise ModelSyntaxError("option match_cap needs an integer of at least 1",
+                               1, 1, args.model)
+    return cap
 
 
 def cmd_run(args) -> int:
@@ -172,6 +175,10 @@ def cmd_run(args) -> int:
         ap_error("--k is required exactly when --strategy is random-k")
     if args.k is not None and args.k < 1:
         ap_error("--k must be a positive integer")
+    if args.steps < 0:
+        ap_error("--steps must not be negative")
+    if args.match_cap is not None and args.match_cap < 1:
+        ap_error("--match-cap must be a positive integer")
     model = _load_model(args)
     if model.term is None:
         raise ModelSyntaxError("the model declares no term to run", 1, 1,

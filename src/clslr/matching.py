@@ -19,7 +19,6 @@ raises :class:`MatchCapError` rather than silently truncating.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .terms import (
     EPS,
@@ -39,6 +38,7 @@ from .terms import (
     is_ground,
     members_of,
     normalize,
+    sub_bag,
 )
 
 DEFAULT_MATCH_CAP = 10**6
@@ -244,6 +244,11 @@ def match_parts(parts: list[Pattern], members: tuple[Pattern, ...],
     consumes one member or vanishes, when its variables allow the empty
     image.  Candidates that would only repeat an equal member value at the
     same position are skipped: they cannot produce new instantiations.
+
+    ``members`` must be the members of a normalized pattern.  The image of
+    an unbound term variable is then built in canonical form from its index
+    combination (:func:`~clslr.terms.sub_bag`), with no re-normalization;
+    the budget is still spent once per combination tried, repeats included.
     """
     concrete = [q for q in parts if not isinstance(q, TermVar)]
     tvars = [q for q in parts if isinstance(q, TermVar)]
@@ -268,7 +273,7 @@ def match_parts(parts: list[Pattern], members: tuple[Pattern, ...],
             for r in range(len(remaining) + 1):
                 for combo in itertools.combinations(remaining, r):
                     budget.spend()
-                    image = normalize(Par(tuple(members[j] for j in combo)))
+                    image = sub_bag(members, combo)
                     if image in seen_values:
                         continue
                     seen_values.add(image)
@@ -295,16 +300,23 @@ def match_parts(parts: list[Pattern], members: tuple[Pattern, ...],
 def _consume(members: tuple[Pattern, ...], remaining: tuple[int, ...],
              needed: tuple[Pattern, ...]):
     """Greedy first-fit removal of a value multiset from an index pool."""
-    need = Counter(needed)
+    left = len(needed)
+    if left > len(remaining):
+        return None
+    need: dict = {}
+    for v in needed:
+        need[v] = need.get(v, 0) + 1
     taken: list[int] = []
     rest: list[int] = []
     for idx in remaining:
         v = members[idx]
-        if need[v] > 0:
-            need[v] -= 1
+        c = need.get(v)
+        if c:
+            need[v] = c - 1
+            left -= 1
             taken.append(idx)
         else:
             rest.append(idx)
-    if any(c > 0 for c in need.values()):
+    if left:
         return None
     return tuple(taken), tuple(rest)

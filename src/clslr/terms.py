@@ -11,10 +11,13 @@ three shapes: plain ``{L => L}``, outbound ``{L ^ S => L ^ S}`` and inbound
 Every node is hash-consed: constructing a node whose class and field values
 equal those of a live node returns that node, however the arguments were
 passed.  Node ``==`` is therefore identity and ``hash`` costs O(1).  The
-intern table holds its nodes weakly, so a node lives exactly as long as
-something outside the table refers to it.  ``copy``, ``deepcopy`` and
-``pickle`` rebuild nodes through their constructors and so return the
-interned node.
+intern table is a plain dict from ``(class, *field values)`` to a weak
+reference to the node, so a node lives exactly as long as something outside
+the table refers to it.  The reference carries its key and, when its node
+dies, one shared callback deletes the entry, but only while the entry is
+still that reference: a key re-interned in the meantime keeps its new
+node.  ``copy``, ``deepcopy`` and ``pickle`` rebuild nodes through their
+constructors and so return the interned node.
 
 Equality of the calculus is structural congruence: ``|`` is an associative,
 commutative monoid with unit eps, a membrane may be rotated freely, the
@@ -22,9 +25,10 @@ empty membrane around the empty term is the empty term, and rules are
 congruent componentwise.  ``normalize`` maps every pattern to a canonical
 representative (flattened, members sorted, least membrane rotation); since
 that representative is interned, congruence is identity of normal forms,
-which is what ``equiv`` checks.  ``normalize``, ``canonical_text`` and
-``has_marks`` memoise their result on the node itself, so a memo is freed
-with its node and retained memory follows the live terms.
+which is what ``equiv`` checks.  ``normalize``, ``canonical_text``,
+``has_marks`` and ``local_rule_violations`` memoise their result on the
+node itself, so a memo is freed with its node and retained memory follows
+the live terms.
 
 The rewrite engine additionally tracks which material was produced within
 the current parallel step.  Such material is wrapped in ``Frozen`` marks;
@@ -43,8 +47,21 @@ from dataclasses import MISSING, dataclass, fields
 # --------------------------------------------------------------------------
 # interning
 
-# (class, *field values) -> the live node with those fields
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """Weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# (class, *field values) -> _Ref to the live node with those fields
+_INTERNED: dict = {}
+
+
+def _drop(ref: _Ref, table: dict = _INTERNED) -> None:
+    """Callback of every ``_Ref``: forget the dead node's entry, unless the
+    key was re-interned since (the table binding survives module teardown)."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class _Interned(type):
@@ -54,10 +71,15 @@ class _Interned(type):
         if kwargs or len(args) != cls._arity:
             args = cls._bind(args, kwargs)
         key = (cls, *args)
-        node = _INTERNED.get(key)
-        if node is None:
-            node = super().__call__(*args)
-            _INTERNED[key] = node
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = super().__call__(*args)
+        ref = _Ref(node, _drop)
+        ref.key = key
+        _INTERNED[key] = ref
         return node
 
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
@@ -191,9 +213,13 @@ class TermVar(Pattern):
 
 
 class LocalRule(Pattern):
-    """Base class for the three local rule shapes."""
+    """Base class for the three local rule shapes.
+
+    ``_defects`` is the unset memo of :func:`local_rule_violations`.
+    """
 
     __slots__ = ()
+    _defects = None
 
 
 @_node
@@ -240,6 +266,7 @@ class GlobalRule(_Node):
 
     lhs: Pattern
     rhs: Pattern
+    _defects = None
 
 
 # --------------------------------------------------------------------------
@@ -403,6 +430,23 @@ def members_of(p: Pattern) -> tuple[Pattern, ...]:
     return (p,)
 
 
+def sub_bag(members: tuple[Pattern, ...], idxs: tuple[int, ...]) -> Pattern:
+    """``normalize(Par(tuple(members[j] for j in idxs)))``, built directly.
+
+    ``members`` must be :func:`members_of` a normalized pattern and ``idxs``
+    ascending.  Such members are flat, eps-free, normal and sorted, and an
+    index-ordered selection of them stays sorted, so the parallel
+    composition of two or more is already its own normal form.
+    """
+    if not idxs:
+        return EPS
+    if len(idxs) == 1:
+        return members[idxs[0]]
+    bag = Par(tuple(members[j] for j in idxs))
+    bag.__dict__["_norm"] = _NORMAL
+    return bag
+
+
 # --------------------------------------------------------------------------
 # variables, groundness, well-formedness
 
@@ -459,6 +503,13 @@ def local_rule_violations(r: LocalRule | GlobalRule) -> tuple[str, ...]:
     (the right side mentions a variable the left side does not), and
     ``membrane-vars`` (same, for the membrane sides of an in/out rule).
     """
+    defects = r._defects
+    if defects is None:
+        defects = r.__dict__["_defects"] = _rule_violations(r)
+    return defects
+
+
+def _rule_violations(r: LocalRule | GlobalRule) -> tuple[str, ...]:
     out: list[str] = []
     if normalize(r.lhs) is EPS:
         out.append("empty-lhs")

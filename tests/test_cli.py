@@ -188,6 +188,26 @@ def test_match_cap_flag_trips(tmp_path, capsys):
     assert "match" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("value", ["0", "00"])
+def test_match_cap_option_must_be_positive(tmp_path, capsys, value):
+    p = tmp_path / "m.clslr"
+    p.write_text(f"option match_cap {value} ;\na\n")
+    assert main(["run", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{p}:1:1: option match_cap needs an integer of at least 1")
+
+
+@pytest.mark.parametrize("flags", [["--match-cap", "0"], ["--match-cap", "-5"],
+                                   ["--steps", "-2"]])
+def test_run_rejects_nonsense_bounds(flags):
+    usage_error(["run", MODEL, *flags])
+
+
+def test_run_accepts_the_least_bounds(capsys):
+    assert main(["run", MODEL, "--steps", "0", "--match-cap", "1"]) == 0
+    assert "round" not in capsys.readouterr().out
+
+
 def usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

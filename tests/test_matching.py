@@ -1,12 +1,14 @@
 """Matching and substitution, cross-checked against the brute-force oracle."""
 
 import pytest
+from collections import Counter
 from hypothesis import given, strategies as st
 from random import Random
 
 from clslr.matching import (
     MatchCapError,
     UnboundVariableError,
+    _consume,
     match,
     subst_seq,
     substitute,
@@ -15,6 +17,7 @@ from clslr.terms import (
     EPS,
     Element,
     ElemVar,
+    Frozen,
     Loop,
     Par,
     PlainRule,
@@ -22,8 +25,11 @@ from clslr.terms import (
     SeqVar,
     TermVar,
     equiv,
+    members_of,
     normalize,
+    par,
     seq,
+    sub_bag,
 )
 
 from oracles import (
@@ -154,6 +160,64 @@ def test_match_cap_enforced():
     t = Seq(tuple(Element("a") for _ in range(12)))
     with pytest.raises(MatchCapError):
         match(pat, t, cap=50)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+@pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "copies"])
+def test_term_variable_pair_spends_one_candidate_per_subset(n, distinct):
+    # $X | $X over n members: the first $X tries each of the 2**n index
+    # subsets once, repeated images included, and the bound second $X spends
+    # nothing.  Distinct members match nothing; n copies of one member match
+    # once, with half of them, when n is even.
+    t = Par(tuple(seq(f"m{i}" if distinct else "m") for i in range(n)))
+    half = normalize(Par(tuple(seq("m") for _ in range(n // 2))))
+    want = [] if distinct or n % 2 else [{X: half}]
+    assert match(par(X, X), t, cap=2**n) == want
+    with pytest.raises(MatchCapError):
+        match(par(X, X), t, cap=2**n - 1)
+
+
+# -- building blocks of parallel matching
+
+@given(st.integers(0, 10_000), st.data())
+def test_sub_bag_is_the_normal_form_of_the_selection(n, data):
+    rng = Random(n)
+    parts = [random_pattern(rng) for _ in range(rng.randint(1, 6))]
+    parts = [Frozen(q) if rng.random() < 0.2 else q for q in parts]
+    members = members_of(normalize(Par(tuple(parts))))
+    size = data.draw(st.integers(0, len(members)))
+    chosen = tuple(sorted(data.draw(st.permutations(range(len(members))))[:size]))
+    for idxs in [(), *((i,) for i in range(len(members))), chosen]:
+        want = normalize(Par(tuple(members[j] for j in idxs)))
+        assert sub_bag(members, idxs) is want
+        assert normalize(sub_bag(members, idxs)) is want
+
+
+def _consume_reference(members, remaining, needed):
+    need = Counter(needed)
+    taken, rest = [], []
+    for idx in remaining:
+        if need[members[idx]] > 0:
+            need[members[idx]] -= 1
+            taken.append(idx)
+        else:
+            rest.append(idx)
+    if any(c > 0 for c in need.values()):
+        return None
+    return tuple(taken), tuple(rest)
+
+
+VALUES = (seq("a"), seq("b"), seq("a", "b"), Loop((a,), seq("c")))
+
+
+@given(st.lists(st.sampled_from(VALUES), max_size=8), st.data())
+def test_consume_agrees_with_counter_reference(members, data):
+    members = tuple(members)
+    remaining = tuple(data.draw(st.permutations(range(len(members))))[
+        :data.draw(st.integers(0, len(members)))])
+    needed = tuple(data.draw(st.lists(st.sampled_from(VALUES), max_size=6)))
+    assert (_consume(members, remaining, needed)
+            == _consume_reference(members, remaining, needed))
 
 
 # -- oracle agreement

@@ -121,6 +121,41 @@ def test_intern_entry_dies_with_its_node():
     assert key not in terms._INTERNED
 
 
+def test_stale_intern_callback_keeps_the_live_entry():
+    name = "re-interned-in-this-test"
+    key = (Element, name)
+    node = Element(name)
+    stale = terms._INTERNED[key]
+    callback = stale.__callback__  # cleared once the node dies
+    del node
+    gc.collect()
+    assert key not in terms._INTERNED
+    node = Element(name)
+    live = terms._INTERNED[key]
+    assert live is not stale and live() is node
+    # a callback that arrives late must not delete the re-interned entry
+    callback(stale)
+    assert terms._INTERNED[key] is live
+    assert Element(name) is node
+
+
+def test_intern_table_returns_to_its_size_after_a_run():
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    classif = Classification(dict(lam.elements))
+    # the run memoises the normal form of the parsed term on it
+    normalize(model.term)
+    gc.collect()
+    before = len(terms._INTERNED)
+    trace = typed_run(model.term, model.globals, classif, steps=30)
+    assert len(terms._INTERNED) > before + 50
+    del trace
+    gc.collect()
+    assert len(terms._INTERNED) <= before + 3
+    assert all(ref() is not None for ref in terms._INTERNED.values())
+
+
 COPY_CASES = [
     a, ElemVar("x"), SeqVar("y"), EPS, TermVar("X"),
     Loop((a, b), Par((seq("c"), Frozen(seq("a")))), mem_frozen=True),
