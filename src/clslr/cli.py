@@ -21,6 +21,7 @@ from .engine import (
     StaleLabelError,
     StepCapError,
     Trace,
+    _check_strategy,
     run as engine_run,
     verify_decomposition,
 )
@@ -114,6 +115,8 @@ def _positioned(err: Exception, path: str) -> str:
         if err.path is None:
             err.path = path
         return str(err)
+    if isinstance(err, RecursionError):
+        return f"{path}:1:1: term nested too deeply"
     return f"{path}:1:1: {err}"
 
 
@@ -171,10 +174,10 @@ def _match_cap(args, model: ModelFile) -> int:
 
 def cmd_run(args) -> int:
     ap_error = args.parser_error
-    if (args.strategy == "random-k") != (args.k is not None):
-        ap_error("--k is required exactly when --strategy is random-k")
-    if args.k is not None and args.k < 1:
-        ap_error("--k must be a positive integer")
+    try:
+        _check_strategy(args.strategy, args.k)
+    except ValueError as err:
+        ap_error(str(err))
     if args.steps < 0:
         ap_error("--steps must not be negative")
     if args.match_cap is not None and args.match_cap < 1:
@@ -239,7 +242,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ModelSyntaxError, TypingError, MatchCapError, StepCapError,
-            StaleLabelError, UnboundVariableError) as err:
+            StaleLabelError, UnboundVariableError, RecursionError) as err:
         print(_positioned(err, primary), file=sys.stderr)
         return 1
     except OSError as err:

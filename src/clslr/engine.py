@@ -141,36 +141,42 @@ class Trace:
 # context navigation
 
 def node_at(mt: Pattern, path: tuple) -> Pattern:
-    cur = mt
-    for step in path:
-        if step == "loop":
-            if not isinstance(cur, Loop):
-                raise StaleLabelError(f"no membrane at {path}")
-            cur = cur.content
-        else:
-            if not isinstance(cur, Par) or not (0 <= step < len(cur.parts)):
-                raise StaleLabelError(f"no parallel member at {path}")
-            cur = cur.parts[step]
-    return cur
+    return _spine(mt, path)[-1]
 
 
 def replace_at(mt: Pattern, path: tuple, new: Pattern) -> Pattern:
-    if not path:
-        return new
-    step, rest = path[0], path[1:]
-    if step == "loop":
-        if not isinstance(mt, Loop):
-            raise StaleLabelError("path enters a membrane that is not there")
-        return Loop(mt.membrane, replace_at(mt.content, rest, new), mt.mem_frozen)
-    if not isinstance(mt, Par) or not (0 <= step < len(mt.parts)):
-        raise StaleLabelError("path enters a parallel member that is not there")
-    parts = list(mt.parts)
-    parts[step] = replace_at(parts[step], rest, new)
-    return Par(tuple(parts))
+    return _graft(_spine(mt, path), path, new)
+
+
+def _spine(mt: Pattern, path: tuple) -> list:
+    """The nodes ``path`` passes through: ``mt`` first, its target last."""
+    spine = [mt]
+    for step in path:
+        cur = spine[-1]
+        if step == "loop":
+            if not isinstance(cur, Loop):
+                raise StaleLabelError(f"no membrane at {path}")
+            spine.append(cur.content)
+        else:
+            if not isinstance(cur, Par) or not (0 <= step < len(cur.parts)):
+                raise StaleLabelError(f"no parallel member at {path}")
+            spine.append(cur.parts[step])
+    return spine
+
+
+def _graft(spine: list, path: tuple, new: Pattern) -> Pattern:
+    """The root of a :func:`_spine` along ``path``, ``new`` as its target."""
+    for node, step in zip(reversed(spine[:-1]), reversed(path)):
+        if step == "loop":
+            new = Loop(node.membrane, new, node.mem_frozen)
+        else:
+            new = Par(node.parts[:step] + (new,) + node.parts[step + 1:])
+    return new
 
 
 def compartment_sites(mt: Pattern) -> list:
-    """``(path, content)`` for every reachable membrane content and the root.
+    """``(path, loop)`` for every reachable compartment: ``loop`` is the
+    membrane node whose content ``path`` enters, None for the root.
 
     Innermost compartments come first and the root last, so that within a
     parallel step material is exported across a membrane before an import
@@ -178,20 +184,18 @@ def compartment_sites(mt: Pattern) -> list:
     content is entered even when the membrane itself is frozen (only the
     membrane, not the content, was produced).
     """
+    # pre-order with members taken last-first; reversed, innermost first
     out: list = []
-
-    def walk(path: tuple, content: Pattern) -> None:
-        members = members_of(content)
+    stack = [((), None)]
+    while stack:
+        path, loop = stack.pop()
+        out.append((path, loop))
+        content = mt if loop is None else loop.content
         in_par = isinstance(content, Par)
-        for i, m in enumerate(members):
+        for i, m in enumerate(members_of(content)):
             if isinstance(m, Loop):
-                mpath = path + ((i,) if in_par else ()) + ("loop",)
-                walk(mpath, m.content)
-                out.append((mpath, m.content))
-
-    walk((), mt)
-    out.append(((), mt))
-    return out
+                stack.append((path + ((i,) if in_par else ()) + ("loop",), m))
+    return out[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +235,11 @@ def find_redexes(rules, mt: Pattern, match_cap: int = DEFAULT_MATCH_CAP, *,
 def _discover(rules, mt: Pattern, budget: _Budget, spent):
     """Generate the labels of :func:`find_redexes` in order, each once."""
     seen: set = set()
-    for site_path, content in compartment_sites(mt):
-        loop = node_at(mt, site_path[:-1]) if site_path else None
+    for site_path, loop in compartment_sites(mt):
         if loop in spent:
             continue
         empty = True
-        for lbl in _site_labels(rules, site_path, loop, content, budget):
+        for lbl in _site_labels(rules, mt, site_path, loop, budget):
             empty = False
             if lbl not in seen:
                 seen.add(lbl)
@@ -245,10 +248,10 @@ def _discover(rules, mt: Pattern, budget: _Budget, spent):
             spent.add(loop)
 
 
-def _site_labels(rules, site_path: tuple, loop, content: Pattern,
+def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
                  budget: _Budget):
-    """The labels matched at one site; ``loop`` encloses it (None at root)."""
-    members = members_of(content)
+    """The labels at one site of ``mt``; ``loop`` encloses it (None at root)."""
+    members = members_of(mt if loop is None else loop.content)
     unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
     for schema, rule, path, held, crossed in _candidates(
             rules, site_path, loop, members, unmarked):
@@ -337,7 +340,8 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
             f"schema {schema!r} does not apply a {type(rule).__name__}")
     mt = normalize(mt)
     inst = label.binding_dict()
-    site = node_at(mt, label.path)
+    spine = _spine(mt, label.path)
+    site = spine[-1]
     crossed = None
     if schema == SCHEMA_LR_OUT:
         crossed = site
@@ -377,7 +381,7 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
             rule, inst, [*members_of(crossed.content), produced])])
     else:
         new = _rebuild([*rest, produced])
-    return normalize(replace_at(mt, label.path, new))
+    return normalize(_graft(spine, label.path, new))
 
 
 def _take(members: tuple, lhs: Pattern, inst: dict, excluded: tuple):
@@ -499,9 +503,10 @@ def verify_decomposition(trace: Trace) -> bool:
     """Check that a trace is a valid parallel reduction.
 
     Replays every label under the strict freeze discipline (each must
-    rewrite only unmarked material, produced regions stay disjoint) and
-    checks the recorded final term.  Every trace produced by :func:`run` is
-    valid; a hand-built label that rewrites inside a frozen region is not.
+    rewrite only unmarked material, produced regions stay disjoint, and what
+    it produces is mark-free) and checks the recorded final term.  Every
+    trace produced by :func:`run` is valid; a hand-built label that rewrites
+    inside a frozen region or produces a mark is not.
     """
     try:
         return (not has_marks(normalize(trace.initial))
@@ -511,37 +516,16 @@ def verify_decomposition(trace: Trace) -> bool:
 
 
 def _replay(trace: Trace, strict: bool) -> Pattern:
-    """The term the labels reach, round by round; with ``strict`` a label
-    that leaves nested marks or marks inside a rule body is stale."""
+    """The term the labels reach, round by round.  With ``strict`` a label
+    whose instantiated rhs carries a mark is stale: as a path cannot enter a
+    ``Frozen`` node and atoms carry no marks, only that rhs can nest marks
+    or mark a rule body."""
     cur = normalize(trace.initial)
     for rnd in trace.rounds:
         mt = cur
-        sane: set = set()
         for lbl in rnd:
-            mt = apply_label(mt, lbl)
-            if strict and not _marks_sane(mt, sane):
+            if strict and has_marks(substitute(lbl.rule.rhs, lbl.binding_dict())):
                 raise StaleLabelError("marks nest or occur inside a rule body")
+            mt = apply_label(mt, lbl)
         cur = normalize(erase(mt))
     return cur
-
-
-def _marks_sane(p: Pattern, sane: set) -> bool:
-    """Marks never nest and never occur inside rule bodies.
-
-    ``sane`` holds nodes already found sane; a node's verdict depends only
-    on the (interned) node, so a subtree a label left alone costs one
-    lookup.  Nodes found sane are added to it.
-    """
-    if p in sane or not has_marks(p):
-        return True
-    if isinstance(p, Frozen):
-        ok = not has_marks(p.body)
-    elif isinstance(p, Loop):
-        ok = _marks_sane(p.content, sane)
-    elif isinstance(p, Par):
-        ok = all(_marks_sane(m, sane) for m in p.parts)
-    else:
-        return False  # a local rule with a mark in its body
-    if ok:
-        sane.add(p)
-    return ok

@@ -465,26 +465,26 @@ def var_occurrences(p: Pattern, include_rule_bodies: bool = True):
 
     ``include_rule_bodies`` is as for :func:`pattern_vars`.
     """
-    if isinstance(p, Seq):
-        yield from _seq_vars(p.items)
-    elif isinstance(p, Loop):
-        yield from _seq_vars(p.membrane)
-        yield from var_occurrences(p.content, include_rule_bodies)
-    elif isinstance(p, Par):
-        for m in p.parts:
-            yield from var_occurrences(m, include_rule_bodies)
-    elif isinstance(p, TermVar):
-        yield p
-    elif isinstance(p, LocalRule):
-        if include_rule_bodies:
-            yield from var_occurrences(p.lhs)
-            yield from var_occurrences(p.rhs)
-            if not isinstance(p, PlainRule):
-                yield from _seq_vars(p.lhs_mem + p.rhs_mem)
-    elif isinstance(p, Frozen):
-        yield from var_occurrences(p.body, include_rule_bodies)
-    else:
-        raise TypeError(f"not a pattern: {p!r}")
+    todo = [p]
+    for p in todo:  # the loop also visits the nodes appended to ``todo``
+        if isinstance(p, Seq):
+            yield from _seq_vars(p.items)
+        elif isinstance(p, Loop):
+            yield from _seq_vars(p.membrane)
+            todo.append(p.content)
+        elif isinstance(p, Par):
+            todo.extend(p.parts)
+        elif isinstance(p, TermVar):
+            yield p
+        elif isinstance(p, LocalRule):
+            if include_rule_bodies:
+                todo += (p.lhs, p.rhs)
+                if not isinstance(p, PlainRule):
+                    yield from _seq_vars(p.lhs_mem + p.rhs_mem)
+        elif isinstance(p, Frozen):
+            todo.append(p.body)
+        else:
+            raise TypeError(f"not a pattern: {p!r}")
 
 
 def _seq_vars(items: tuple[Atom, ...]):

@@ -29,7 +29,7 @@ from .engine import (
     run,
 )
 from .matching import UnboundVariableError
-from .terms import Loop, Pattern, normalize
+from .terms import Pattern, normalize
 from .typecheck import (
     Classification,
     SideConditionError,
@@ -42,20 +42,6 @@ from .typecheck import (
 )
 
 
-def _enclosing_membrane(mt: Pattern, label: ReductionLabel):
-    """Membrane sequence whose compartment must grant the label, or None at root."""
-    if label.schema == SCHEMA_LR_OUT:
-        return node_at(mt, label.path).membrane
-    path = label.path
-    if not path:
-        return None
-    # label paths into a compartment end with "loop"; the loop node is above
-    loop = node_at(mt, path[:-1])
-    if not isinstance(loop, Loop):
-        return None
-    return loop.membrane
-
-
 def typed_ok(mt: Pattern, label: ReductionLabel, classif: Classification) -> bool:
     """Whether a label is admitted by the type discipline."""
     basis = infer_basis(label.binding_dict(), classif)
@@ -63,9 +49,11 @@ def typed_ok(mt: Pattern, label: ReductionLabel, classif: Classification) -> boo
         if label.schema == SCHEMA_GRT:
             return check_global(basis, classif, label.rule)
         ptype = pattern_type(basis, classif, label.rule)
-        mem = _enclosing_membrane(mt, label)
-        if mem is not None:
-            granted = membrane_type({}, classif, mem)
+        # the path of the compartment holding the rule, one step below the
+        # loop whose membrane must grant it (the root grants everything)
+        path = label.path + ("loop",) if label.schema == SCHEMA_LR_OUT else label.path
+        if path:
+            granted = membrane_type({}, classif, node_at(mt, path[:-1]).membrane)
             head = ptype[0] if ptype else frozenset()
             if not head <= granted:
                 return False

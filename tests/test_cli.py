@@ -265,6 +265,19 @@ def test_replay_rejects_deep_nesting_without_traceback(tmp_path, where):
     assert_replay_reports_malformed(tr)
 
 
+def test_nesting_too_deep_for_the_interpreter_is_a_diagnostic(tmp_path):
+    model = tmp_path / "deep.clslr"
+    model.write_text("loop(m)[" * 600 + "a" + "]" * 600 + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = prepend(SRC, env.get("PYTHONPATH"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clslr.cli", "check", str(model)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{model}:1:1: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def toml_reader():
     if sys.version_info >= (3, 11):
         import tomllib

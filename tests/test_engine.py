@@ -43,9 +43,11 @@ from clslr.terms import (
     Par,
     PlainRule,
     Seq,
+    TermVar,
     equiv,
     erase,
     has_marks,
+    is_ground,
     normalize,
     seq,
 )
@@ -90,6 +92,22 @@ def test_compartment_sites_skip_frozen_subtrees():
     t = normalize(Par((Frozen(Loop((Element("m"),), seq("a"))), seq("b"))))
     paths = [p for p, _ in compartment_sites(t)]
     assert paths == [()]
+
+
+def test_paths_into_a_deep_chain_need_no_recursion():
+    # built with constructors only: normalize and rendering still recurse
+    t = seq("a")
+    for _ in range(2000):
+        t = Loop((Element("m"),), t)
+    sites = compartment_sites(t)
+    assert len(sites) == 2001
+    assert [len(p) for p, _ in sites] == list(range(2000, -1, -1))
+    assert sites[0][1].content is seq("a")
+    assert sites[-1] == ((), None)
+    assert all(loop is node_at(t, p[:-1]) for p, loop in sites[:-1])
+    deep = ("loop",) * 2000
+    assert node_at(replace_at(t, deep, seq("b")), deep) is seq("b")
+    assert is_ground(t)
 
 
 # -- global rewrites
@@ -420,6 +438,17 @@ def test_verify_rejects_a_frozen_membrane_inside_a_mark():
     tr = run(seq("a"), [GlobalRule(seq("a"), frozen)], steps=1)
     assert schemas(tr.labels) == ["GRT"]
     assert not verify_decomposition(tr)
+
+
+def test_verify_rejects_a_label_that_binds_its_rhs_to_marked_material():
+    # normalize folds the nested mark Frozen(Frozen(b)) into one, so the
+    # replayed term alone cannot show it; the label's right side does
+    rule = GlobalRule(seq("a"), TermVar("X"))
+    for image, ok in ((seq("b"), True), (Frozen(seq("b")), False)):
+        lbl = ReductionLabel("GRT", rule, (), ((TermVar("X"), image),), EPS)
+        tr = Trace(seq("a"), ((lbl,),), seq("b"))
+        assert replay(tr) == seq("b")
+        assert verify_decomposition(tr) is ok
 
 
 @pytest.mark.parametrize("k", [0, -1, True, 1.5])

@@ -219,6 +219,26 @@ GOLDEN_TRACE_SHA = {
 }
 
 
+# sha256 over the trace JSON of random_model seeds 0-499, 3 steps, each
+# untyped then typed under single, maximal and random-k (k = 2)
+RANDOM_GRID_SHA = \
+    "953ac6fde8e0c0438ec062772b3bcb9cf0fbc23ba7ab342d36f1a4317eb72417"
+
+
+def test_random_grid_trace_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(500):
+        term, rules, entries = random_model(seed)
+        classif = Classification(entries)
+        for strategy, k in (("single", None), ("maximal", None),
+                            ("random-k", 2)):
+            kw = dict(steps=3, strategy=strategy, k=k)
+            digest.update(trace_to_json(run(term, rules, **kw)).encode())
+            digest.update(trace_to_json(
+                typed_run(term, rules, classif, **kw)).encode())
+    assert digest.hexdigest() == RANDOM_GRID_SHA
+
+
 @pytest.mark.parametrize("steps", sorted(GOLDEN_TRACE_SHA))
 def test_golden_trace_bytes_are_pinned(steps):
     model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
