@@ -20,7 +20,6 @@ from .engine import (
     Trace,
     apply_label,
     find_redexes,
-    parallel_reduce,
     replay,
     run,
     verify_decomposition,
@@ -74,7 +73,6 @@ from .typecheck import (
 from .typed import (
     subject_reduction_check,
     typed_find_redexes,
-    typed_parallel_reduce,
     typed_run,
 )
 

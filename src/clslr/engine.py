@@ -402,8 +402,7 @@ def _rebuild(members) -> Pattern:
 
 def _crossed(rule, inst: dict, content: list) -> Loop:
     """The membrane a crossing rule rewrote, frozen for the rest of the step."""
-    return Loop(min_rotation(subst_seq(rule.rhs_mem, inst)), _rebuild(content),
-                mem_frozen=True)
+    return Loop(min_rotation(subst_seq(rule.rhs_mem, inst)), _rebuild(content), True)
 
 
 # --------------------------------------------------------------------------
@@ -483,15 +482,6 @@ def _one_round(mt, redexes, strategy, rng, k, step_cap):
         mt = apply_label(mt, lbl)
         applied.append(lbl)
     return mt, tuple(applied)
-
-
-def parallel_reduce(term: Pattern, rules, strategy: str = "maximal",
-                    seed: int = 0, k: int | None = None,
-                    match_cap: int = DEFAULT_MATCH_CAP,
-                    step_cap: int = DEFAULT_STEP_CAP) -> Trace:
-    """One parallel step of ``term`` under ``rules``."""
-    return run(term, rules, steps=1, strategy=strategy, seed=seed, k=k,
-               match_cap=match_cap, step_cap=step_cap)
 
 
 def replay(trace: Trace) -> Pattern:

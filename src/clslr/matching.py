@@ -235,8 +235,8 @@ def match_parts(parts: list[Pattern], members: tuple[Pattern, ...],
                 require_all: bool):
     """Match parallel parts against a pool of member indices.
 
-    Yields ``(inst, used)`` with ``used`` the sorted tuple of consumed
-    indices.  With ``require_all`` the pool must be consumed exactly
+    Returns a lazy generator of ``(inst, used)``, ``used`` the sorted tuple
+    of consumed indices.  With ``require_all`` the pool must be consumed exactly
     (ordinary matching); without it, leftover members are allowed (redex
     selection inside a larger compartment).
 
@@ -252,49 +252,56 @@ def match_parts(parts: list[Pattern], members: tuple[Pattern, ...],
     """
     concrete = [q for q in parts if not isinstance(q, TermVar)]
     tvars = [q for q in parts if isinstance(q, TermVar)]
-    ordered = concrete + tvars
+    return _parts(concrete + tvars, 0, members, pool, inst, (), budget, require_all)
 
-    def recurse(i: int, remaining: tuple[int, ...], cur: Instantiation,
-                used: tuple[int, ...]):
-        if i == len(ordered):
-            if require_all and remaining:
-                return
-            yield cur, tuple(sorted(used))
-            return
-        part = ordered[i]
-        if isinstance(part, TermVar):
-            if part in cur:
-                got = _consume(members, remaining, members_of(cur[part]))
-                if got is not None:
-                    taken, rest = got
-                    yield from recurse(i + 1, rest, cur, used + taken)
-                return
-            seen_values: set = set()
-            for r in range(len(remaining) + 1):
-                for combo in itertools.combinations(remaining, r):
-                    budget.spend()
-                    image = sub_bag(members, combo)
-                    if image in seen_values:
-                        continue
-                    seen_values.add(image)
-                    rest = tuple(j for j in remaining if j not in combo)
-                    yield from recurse(i + 1, rest, {**cur, part: image}, used + combo)
-            return
-        seen_members: set = set()
-        for idx in remaining:
-            m = members[idx]
-            if m in seen_members:
-                continue
-            seen_members.add(m)
-            budget.spend()
-            rest = tuple(j for j in remaining if j != idx)
-            for cur2 in _match(part, m, cur, budget):
-                yield from recurse(i + 1, rest, cur2, used + (idx,))
-        # the part may instantiate to eps and consume nothing
-        for cur2 in _match(part, EPS, cur, budget):
-            yield from recurse(i + 1, remaining, cur2, used)
 
-    yield from recurse(0, pool, inst, ())
+def _parts(ordered: list[Pattern], i: int, members: tuple[Pattern, ...],
+           remaining: tuple[int, ...], cur: Instantiation, used: tuple[int, ...],
+           budget: _Budget, require_all: bool):
+    """The search of :func:`match_parts` from part ``i`` on.  Its state is
+    passed as arguments, so no closure refers to the generator itself and a
+    call leaves no reference cycle behind."""
+    if i == len(ordered):
+        if require_all and remaining:
+            return
+        yield cur, tuple(sorted(used))
+        return
+    part = ordered[i]
+    if isinstance(part, TermVar):
+        if part in cur:
+            got = _consume(members, remaining, members_of(cur[part]))
+            if got is not None:
+                taken, rest = got
+                yield from _parts(ordered, i + 1, members, rest, cur, used + taken,
+                                  budget, require_all)
+            return
+        seen_values: set = set()
+        for r in range(len(remaining) + 1):
+            for combo in itertools.combinations(remaining, r):
+                budget.spend()
+                image = sub_bag(members, combo)
+                if image in seen_values:
+                    continue
+                seen_values.add(image)
+                rest = tuple(j for j in remaining if j not in combo)
+                yield from _parts(ordered, i + 1, members, rest, {**cur, part: image},
+                                  used + combo, budget, require_all)
+        return
+    seen_members: set = set()
+    for idx in remaining:
+        m = members[idx]
+        if m in seen_members:
+            continue
+        seen_members.add(m)
+        budget.spend()
+        rest = tuple(j for j in remaining if j != idx)
+        for cur2 in _match(part, m, cur, budget):
+            yield from _parts(ordered, i + 1, members, rest, cur2, used + (idx,),
+                              budget, require_all)
+    # the part may instantiate to eps and consume nothing
+    for cur2 in _match(part, EPS, cur, budget):
+        yield from _parts(ordered, i + 1, members, remaining, cur2, used,
+                          budget, require_all)
 
 
 def _consume(members: tuple[Pattern, ...], remaining: tuple[int, ...],

@@ -42,7 +42,6 @@ from .terms import (
     SeqVar,
     TermVar,
     canonical_text,
-    global_rule_violations,
     is_ground,
     local_rule_violations,
     normalize,
@@ -227,7 +226,7 @@ class _Parser:
         self.expect("[")
         content = self.parse_par()
         self.expect("]")
-        return Loop(membrane, content)
+        return Loop(membrane, content, False)
 
     def parse_seq(self) -> Seq:
         return Seq(self.parse_seq_atoms())
@@ -342,7 +341,7 @@ class _Parser:
         lhs = self.parse_par()
         self.expect("=>")
         rule = GlobalRule(lhs, self.parse_par())
-        for clause in global_rule_violations(rule):
+        for clause in local_rule_violations(rule):
             raise IllFormedRuleError(clause, _CLAUSE_MESSAGES[clause],
                                      line, col, self.path)
         return rule
@@ -393,13 +392,11 @@ def render(p: Pattern) -> str:
     return canonical_text(normalize(p))
 
 
-def render_global(rule: GlobalRule) -> str:
-    return f"{render(rule.lhs)} => {render(rule.rhs)}"
-
-
 def rule_text(rule: GlobalRule | LocalRule) -> str:
     """Canonical surface text of a global or a local rule."""
-    return render_global(rule) if isinstance(rule, GlobalRule) else render(rule)
+    if isinstance(rule, GlobalRule):
+        return f"{render(rule.lhs)} => {render(rule.rhs)}"
+    return render(rule)
 
 
 def merge_elements(base: dict, extra: dict, path: str | None = None) -> dict:

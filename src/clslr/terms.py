@@ -40,8 +40,9 @@ loop or rule boundary.
 
 from __future__ import annotations
 
+import inspect
 import weakref
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 # --------------------------------------------------------------------------
@@ -69,7 +70,9 @@ class _Interned(type):
 
     def __call__(cls, *args, **kwargs):
         if kwargs or len(args) != cls._arity:
-            args = cls._bind(args, kwargs)
+            bound = cls._signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
         key = (cls, *args)
         ref = _INTERNED.get(key)
         if ref is not None:
@@ -81,25 +84,6 @@ class _Interned(type):
         ref.key = key
         _INTERNED[key] = ref
         return node
-
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """Field values in declaration order from a mixed or defaulted call."""
-        names = cls._names
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
-                            f"but {len(args)} were given")
-        values = list(args)
-        for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in cls._defaults:
-                values.append(cls._defaults[name])
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got unexpected or repeated "
-                            f"arguments {sorted(kwargs)}")
-        return tuple(values)
 
 
 class _Node(metaclass=_Interned):
@@ -117,7 +101,9 @@ def _node(cls):
     fs = fields(cls)
     cls._arity = len(fs)
     cls._names = tuple(f.name for f in fs)
-    cls._defaults = {f.name: f.default for f in fs if f.default is not MISSING}
+    # the field parameters of the generated __init__, without ``self``
+    init = inspect.signature(cls.__init__)
+    cls._signature = init.replace(parameters=tuple(init.parameters.values())[1:])
     return cls
 
 
@@ -287,7 +273,7 @@ def par(*parts: Pattern) -> Pattern:
 
 def loop(membrane: Seq | tuple[Atom, ...], content: Pattern) -> Loop:
     mem = membrane.items if isinstance(membrane, Seq) else tuple(membrane)
-    return Loop(mem, content)
+    return Loop(mem, content, False)
 
 
 # --------------------------------------------------------------------------
@@ -521,12 +507,6 @@ def _rule_violations(r: LocalRule | GlobalRule) -> tuple[str, ...]:
     if not pattern_vars(r.rhs) <= lhs_vars:
         out.append("rhs-vars")
     return tuple(out)
-
-
-def global_rule_violations(g: GlobalRule) -> tuple[str, ...]:
-    """The clauses of :func:`local_rule_violations` that a global rule, which
-    has no membrane sides, can break."""
-    return local_rule_violations(g)
 
 
 # --------------------------------------------------------------------------

@@ -87,24 +87,12 @@ def typed_run(term: Pattern, rules, classif: Classification, *, steps: int = 1,
                label_filter=partial(typed_ok, classif=classif))
 
 
-def typed_parallel_reduce(term: Pattern, rules, classif: Classification,
-                          strategy: str = "maximal", seed: int = 0,
-                          k: int | None = None,
-                          match_cap: int = DEFAULT_MATCH_CAP,
-                          step_cap: int = DEFAULT_STEP_CAP) -> Trace:
-    """One typed parallel step."""
-    return typed_run(term, rules, classif, steps=1, strategy=strategy,
-                     seed=seed, k=k, match_cap=match_cap, step_cap=step_cap)
-
-
 def subject_reduction_check(before: Pattern, after: Pattern,
-                            classif: Classification,
-                            basis: dict | None = None) -> bool:
+                            classif: Classification) -> bool:
     """Whether the type of ``after`` is contained in the type of ``before``."""
-    basis = basis or {}
     try:
-        t_before = pattern_type(basis, classif, normalize(before))
-        t_after = pattern_type(basis, classif, normalize(after))
+        t_before = pattern_type({}, classif, normalize(before))
+        t_after = pattern_type({}, classif, normalize(after))
     except TypingError:
         return False
     return contained(t_after, t_before)

@@ -45,7 +45,7 @@ from clslr.typecheck import (
     infer_basis,
     pattern_type,
 )
-from clslr.typed import subject_reduction_check, typed_parallel_reduce, typed_run
+from clslr.typed import subject_reduction_check, typed_run
 
 from oracles import (
     ALPHABET,

@@ -18,7 +18,6 @@ from clslr.engine import (
     compartment_sites,
     find_redexes,
     node_at,
-    parallel_reduce,
     replace_at,
     replay,
     run,
@@ -226,7 +225,7 @@ def test_out_rule_blocked_by_frozen_membrane():
 
 def test_out_rule_only_crosses_once_per_step():
     t = P("loop(m)[ { a ^ m => a ^ m } | a | a ]")
-    tr = parallel_reduce(t, [])
+    tr = run(t, [])
     assert len(tr.rounds[0]) == 1
     # the second copy leaves in the next parallel step
     tr2 = run(t, [], steps=2)
@@ -265,14 +264,14 @@ def test_in_rule_identical_targets_one_label():
 
 def test_in_rule_freezes_target_membrane():
     t = P("{ a @ m => a @ m } | a | a | loop(m)[ b ]")
-    tr = parallel_reduce(t, [])
+    tr = run(t, [])
     assert len(tr.rounds[0]) == 1  # the second copy finds no unfrozen target
 
 
 # -- freeze discipline
 
 def test_produced_material_is_not_rematched_within_a_step():
-    tr = parallel_reduce(P("c | { c => c }"), [])
+    tr = run(P("c | { c => c }"), [])
     assert len(tr.rounds[0]) == 1
     assert normalize(tr.final) == normalize(P("c | { c => c }"))
 
@@ -285,7 +284,7 @@ def test_produced_rules_fire_only_next_step():
 
 
 def test_marks_are_erased_between_steps():
-    tr = parallel_reduce(P("a"), [G("a => b")])
+    tr = run(P("a"), [G("a => b")])
     assert not has_marks(tr.final)
 
 
@@ -309,7 +308,7 @@ def test_random_k_is_seeded_and_bounded():
 
 def test_maximal_strategy_exhausts_redexes():
     t = P("a | b | { a => c } | { b => c }")
-    tr = parallel_reduce(t, [])
+    tr = run(t, [])
     assert len(tr.rounds[0]) == 2
     assert normalize(tr.final) == normalize(P("c | c | { a => c } | { b => c }"))
 
@@ -322,7 +321,7 @@ def test_run_stops_early_when_nothing_applies():
 
 def test_empty_rule_set_means_no_steps():
     t = random_ground_term(Random(3), 2, rules_ok=False)
-    tr = parallel_reduce(t, [])
+    tr = run(t, [])
     assert tr.rounds == ()
     assert equiv(tr.final, t)
 
@@ -339,7 +338,7 @@ def test_strategy_validation():
 def test_step_cap():
     t = P("c | c | c | c | c | { c => d }")
     with pytest.raises(StepCapError):
-        parallel_reduce(t, [], step_cap=3)
+        run(t, [], step_cap=3)
 
 
 def test_run_rejects_marked_start():
@@ -477,7 +476,7 @@ def test_parallel_step_material_is_conserved_or_rewritten(n):
     # a parallel step leaves ground, mark-free output
     rng = Random(n)
     t = random_ground_term(rng, 2)
-    tr = parallel_reduce(t, [G("a => b")])
+    tr = run(t, [G("a => b")])
     assert not has_marks(tr.final)
     assert normalize(tr.final) == tr.final
 

@@ -1,5 +1,6 @@
 """Matching and substitution, cross-checked against the brute-force oracle."""
 
+import gc
 import pytest
 from collections import Counter
 from hypothesis import given, strategies as st
@@ -109,6 +110,21 @@ def test_match_term_variable_whole_and_parts():
 def test_match_term_variable_can_vanish():
     res = match(Par((X, seq("a"))), seq("a"))
     assert res == [{X: EPS}]
+
+
+def test_term_variable_matches_leave_no_cyclic_garbage():
+    # the search state of match_parts lives in generator frames, not in a
+    # closure that refers to itself, so a match leaves nothing to collect
+    pat, t = par(X, seq("m0")), par(seq("m0"), seq("m1"), seq("m2"))
+    match(pat, t)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            match(pat, t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_match_loop_rotations():

@@ -20,7 +20,6 @@ from clslr.syntax import (
     parse_pattern_text,
     parse_seq_text,
     render,
-    render_global,
     rule_text,
     tokenize,
     trace_from_json,
@@ -29,7 +28,6 @@ from clslr.syntax import (
 from clslr.terms import (
     EPS,
     Element,
-    GlobalRule,
     InRule,
     Loop,
     OutRule,
@@ -118,7 +116,7 @@ def test_render_parse_inverse_random(n):
 
 def test_render_global_round_trip():
     g = parse_global_text("?x | a => ?x")
-    assert parse_global_text(render_global(g)) == g
+    assert parse_global_text(rule_text(g)) == g
 
 
 def test_parse_seq_text():
@@ -361,9 +359,6 @@ def test_trace_json_round_trip():
     assert normalize(back.initial) == normalize(tr.initial)
     assert normalize(back.final) == normalize(tr.final)
     assert len(back.rounds) == len(tr.rounds)
-    def rule_text(r):
-        return render_global(r) if isinstance(r, GlobalRule) else render(r)
-
     for got, want in zip(back.labels, tr.labels):
         assert got.schema == want.schema
         assert got.path == want.path

@@ -1,5 +1,6 @@
 """Typed reduction: label admission, permission checks, subject reduction."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -23,7 +24,6 @@ from clslr.typecheck import Classification, UnknownElementError, pattern_type
 from clslr.typed import (
     subject_reduction_check,
     typed_find_redexes,
-    typed_parallel_reduce,
     typed_run,
 )
 
@@ -118,7 +118,7 @@ def test_typed_run_of_ill_typed_model_gets_stuck_not_raises():
 
 def test_typed_parallel_reduce_matches_untyped_when_all_admitted():
     t = P("loop(Tim)[ { ATP ^ ~x => ATP ^ ~x } | ATP ]")
-    typed = typed_parallel_reduce(t, [], LAMBDA_EX)
+    typed = typed_run(t, [], LAMBDA_EX)
     untyped = run(t, [], steps=1)
     assert normalize(typed.final) == normalize(untyped.final)
 
@@ -133,7 +133,7 @@ def test_subject_reduction_on_golden_run():
     states = [normalize(model.term)]
     cur = model.term
     for _ in range(8):
-        tr = typed_parallel_reduce(cur, model.globals, classif)
+        tr = typed_run(cur, model.globals, classif)
         cur = tr.final
         states.append(cur)
     for before, after in zip(states, states[1:]):
@@ -237,6 +237,24 @@ def test_random_grid_trace_bytes_are_pinned():
             digest.update(trace_to_json(
                 typed_run(term, rules, classif, **kw)).encode())
     assert digest.hexdigest() == RANDOM_GRID_SHA
+
+
+def test_typed_golden_run_leaves_no_cyclic_garbage():
+    # nodes are freed by reference counting alone, so the run-wide spent
+    # set never depends on when the cyclic collector happens to run
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    classif = Classification(dict(lam.elements))
+    typed_run(model.term, model.globals, classif, steps=30)
+    gc.collect()
+    gc.disable()
+    try:
+        trace = typed_run(model.term, model.globals, classif, steps=30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(trace.labels) == 231
 
 
 @pytest.mark.parametrize("steps", sorted(GOLDEN_TRACE_SHA))
