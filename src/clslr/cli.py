@@ -97,12 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ModelSyntaxError("not UTF-8 text", 1, 1, path) from None
+
+
 def _load_model(args) -> ModelFile:
     path = args.model
-    model = parse_model(Path(path).read_text(), path)
+    model = parse_model(_read(path), path)
     lam = getattr(args, "lambda_path", None)
     if lam:
-        extra = parse_model(Path(lam).read_text(), lam)
+        extra = parse_model(_read(lam), lam)
         if extra.term is not None or extra.globals:
             raise ModelSyntaxError(
                 "classification files hold element statements only", 1, 1, lam)
@@ -198,7 +205,7 @@ def cmd_run(args) -> int:
                            match_cap=cap)
     text = trace_to_json(trace) if args.format == "json" else _trace_text(trace)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
@@ -223,8 +230,7 @@ def _trace_text(trace: Trace) -> str:
 
 
 def cmd_replay(args) -> int:
-    text = Path(args.trace).read_text()
-    trace = trace_from_json(text, path=args.trace)
+    trace = trace_from_json(_read(args.trace), path=args.trace)
     if not verify_decomposition(trace):
         print(f"{args.trace}:1:1: trace does not replay to its recorded final "
               f"term", file=sys.stderr)

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .matching import (
     DEFAULT_MATCH_CAP,
@@ -101,8 +101,7 @@ def _binding_items(inst: dict) -> tuple:
     return tuple(sorted(inst.items(), key=lambda kv: (_VAR_RANK[type(kv[0])], kv[0].name)))
 
 
-@dataclass(frozen=True)
-class ReductionLabel:
+class ReductionLabel(NamedTuple):
     """One single-reduction step: schema, rule, hole path, match, residue.
 
     ``path`` addresses the match site (for ``LR-Out``: the membrane being
@@ -121,8 +120,7 @@ class ReductionLabel:
         return dict(self.binding)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """A run: the initial term, labels grouped by parallel step, the final term."""
 
     initial: Pattern

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .engine import ReductionLabel, Trace, _binding_items, _check_strategy
@@ -121,14 +120,15 @@ def tokenize(text: str, path: str | None = None) -> list:
     return tokens
 
 
-@dataclass
 class ModelFile:
     """Parsed model: initial term, global rules, element features, options."""
 
-    term: Pattern | None = None
-    globals: tuple = ()
-    elements: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
+    def __init__(self, term: Pattern | None = None, globals: tuple = (),
+                 elements: dict | None = None, options: dict | None = None):
+        self.term = term
+        self.globals = globals
+        self.elements = {} if elements is None else elements
+        self.options = {} if options is None else options
 
     def classification(self, strict: bool = True) -> Classification:
         return Classification(dict(self.elements), strict=strict)
@@ -490,12 +490,17 @@ def trace_from_json(text: str, path: str | None = None) -> Trace:
                                path) from err
 
 
+def _int(value, what: str) -> int:
+    """``value`` if it is an integer (a bool or a float is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _trace_from_doc(doc: dict) -> Trace:
-    seed = doc.get("seed", 0)
+    seed = _int(doc.get("seed", 0), "seed")
     strategy = doc.get("strategy", "maximal")
     k = doc.get("k")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, not {seed!r}")
     _check_strategy(strategy, k)
     memo: dict = {}
 
@@ -517,11 +522,12 @@ def _trace_from_doc(doc: dict) -> Trace:
             schema=schema,
             rule=parsed(parse_global_text if schema == "GRT"
                         else _local_rule_from_text, step["rule"]),
-            path=tuple(s if s == "loop" else int(s) for s in step["path"]),
+            path=tuple(s if s == "loop" else _int(s, "path step")
+                       for s in step["path"]),
             binding=_binding_items(_sigma_from_json(step["sigma"], parsed)),
             residue=parsed(_term_from_text, step["residue"]),
         )
-        rounds.setdefault(int(step["round"]), []).append(label)
+        rounds.setdefault(_int(step["round"], "round"), []).append(label)
     return Trace(
         initial=parsed(_term_from_text, doc["initial"]),
         rounds=tuple(tuple(rounds[r]) for r in sorted(rounds)),

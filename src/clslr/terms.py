@@ -40,9 +40,8 @@ loop or rule boundary.
 
 from __future__ import annotations
 
-import inspect
 import weakref
-from dataclasses import dataclass, fields
+from functools import cache
 
 
 # --------------------------------------------------------------------------
@@ -70,7 +69,7 @@ class _Interned(type):
 
     def __call__(cls, *args, **kwargs):
         if kwargs or len(args) != cls._arity:
-            bound = cls._signature.bind(*args, **kwargs)
+            bound = _signature(cls).bind(*args, **kwargs)
             bound.apply_defaults()
             args = bound.args
         key = (cls, *args)
@@ -86,24 +85,49 @@ class _Interned(type):
         return node
 
 
+@cache
+def _signature(cls):
+    """The field parameters of ``cls``, for binding a keyword or defaulted
+    call; ``inspect`` loads only when such a call is first made."""
+    from inspect import Parameter, Signature
+    return Signature([Parameter(n, Parameter.POSITIONAL_OR_KEYWORD,
+                                default=vars(cls).get(n, Parameter.empty))
+                      for n in cls._names])
+
+
 class _Node(metaclass=_Interned):
     """Base class of every interned node; :func:`_node` completes each one."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self._names)
 
 
 def _node(cls):
-    """Make ``cls`` an immutable node class with identity equality."""
-    cls = dataclass(frozen=True, eq=False)(cls)
-    fs = fields(cls)
-    cls._arity = len(fs)
-    cls._names = tuple(f.name for f in fs)
-    # the field parameters of the generated __init__, without ``self``
-    init = inspect.signature(cls.__init__)
-    cls._signature = init.replace(parameters=tuple(init.parameters.values())[1:])
+    """Make ``cls`` an immutable node class with identity equality.
+
+    Its fields are its annotated names, in order.  Its ``__init__`` is
+    written out per class, as ``collections.namedtuple`` does, so each field
+    is one ``object.__setattr__`` call and every node of the class shares
+    one key layout for its instance dict.
+    """
+    cls._names = names = tuple(vars(cls).get("__annotations__", ()))
+    cls._arity = len(names)
+    body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    cls.__init__ = namespace["__init__"]
     return cls
 
 

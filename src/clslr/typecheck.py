@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .matching import Instantiation, UnboundVariableError
 from .terms import (
@@ -96,12 +95,12 @@ class SideConditionError(TypingError):
             f" in {subject}")
 
 
-@dataclass
 class Classification:
     """Element classification: a membrane type for each known element."""
 
-    entries: dict = field(default_factory=dict)
-    strict: bool = True
+    def __init__(self, entries: dict | None = None, strict: bool = True):
+        self.entries = {} if entries is None else entries
+        self.strict = strict
 
     def lookup(self, name: str) -> MembraneType:
         try:

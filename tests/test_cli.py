@@ -251,6 +251,36 @@ def test_replay_rejects_ill_typed_header(tmp_path, header):
     assert_replay_reports_malformed(tr)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("path", ["loop", 2.9, "loop"]), ("path", ["loop", "2", "loop"]),
+    ("round", 1.7), ("round", "1"), ("round", True)])
+def test_replay_rejects_path_steps_and_rounds_that_are_not_integers(
+        tmp_path, capsys, field, value):
+    tr = tmp_path / "out.trace.json"
+    assert main(["run", MODEL, "--lambda", LAMBDA, "--typed", "--steps", "2",
+                 "--format", "json", "--out", str(tr)]) == 0
+    doc = json.loads(tr.read_text())
+    step = doc["steps"][0]
+    assert (step["round"], step["path"]) == (1, ["loop", 2, "loop"])
+    step[field] = value  # int() would read each of these back as the original
+    tr.write_text(json.dumps(doc))
+    assert main(["replay", str(tr)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tr}:1:1: malformed trace document: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["check", "lambda", "replay"])
+def test_input_that_is_not_utf8_is_a_diagnostic(tmp_path, capsys, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe a\n")
+    argv = {"check": ["check", str(bad)],
+            "lambda": ["check", MODEL, "--lambda", str(bad)],
+            "replay": ["replay", str(bad)]}[where]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{bad}:1:1: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("where", ["document", "residue"])
 def test_replay_rejects_deep_nesting_without_traceback(tmp_path, where):
     tr = tmp_path / "deep.trace.json"

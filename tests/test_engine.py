@@ -1,6 +1,5 @@
 """Redex discovery, the four schemas, freeze discipline, traces."""
 
-import dataclasses
 import importlib
 import importlib.util
 
@@ -399,9 +398,8 @@ def test_verify_rejects_every_schema_rule_kind_mismatch():
         for schema in ("GRT", "LR", "LR-Out", "LR-In"):
             if schema == lbl.schema:
                 continue
-            bad_lbl = dataclasses.replace(lbl, schema=schema)
-            bad = dataclasses.replace(
-                tr, rounds=(rnd[:i] + (bad_lbl,) + rnd[i + 1:],))
+            bad_lbl = lbl._replace(schema=schema)
+            bad = tr._replace(rounds=(rnd[:i] + (bad_lbl,) + rnd[i + 1:],))
             assert verify_decomposition(bad) is False, (lbl.schema, schema)
             with pytest.raises(StaleLabelError):
                 apply_label(t, bad_lbl)
@@ -454,6 +452,20 @@ def test_verify_rejects_a_label_that_binds_its_rhs_to_marked_material():
 def test_random_k_needs_a_positive_integer_k(k):
     with pytest.raises(ValueError):
         run(seq("a"), [G("a => b")], strategy="random-k", k=k)
+
+
+def test_labels_and_traces_are_values():
+    t = P("a | a | { a => b }")
+    (lbl,) = find_redexes([], t)
+    twin = ReductionLabel(lbl.schema, lbl.rule, lbl.path, lbl.binding,
+                          lbl.residue)
+    assert twin == lbl and twin is not lbl
+    assert {lbl, twin} == {lbl}
+    with pytest.raises(AttributeError):
+        lbl.schema = "GRT"
+    tr = run(t, [], steps=1)
+    assert tr == run(t, [], steps=1)
+    assert hash(tr) == hash(run(t, [], steps=1))
 
 
 def test_trace_labels_flatten_rounds():

@@ -176,6 +176,20 @@ def test_copies_are_the_interned_node(node):
         assert pickle.loads(pickle.dumps(node, protocol)) is node
 
 
+def test_nodes_are_immutable_and_repr_their_fields():
+    node = Loop((a,), seq("b"))
+    with pytest.raises(AttributeError):
+        node.content = EPS
+    with pytest.raises(AttributeError):
+        del node.membrane
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert node.content is seq("b")
+    assert repr(node) == ("Loop(membrane=(Element(name='a'),), "
+                          "content=Seq(items=(Element(name='b'),)), "
+                          "mem_frozen=False)")
+
+
 def test_retained_memory_follows_the_live_term():
     # per-node memos die with their nodes: a long run leaves nothing behind
     model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())

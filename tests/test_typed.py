@@ -183,6 +183,31 @@ sys.stdout.write(trace_to_json(trace))
 """
 
 
+COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from clslr import (Classification, bundled_model, parse_model, trace_from_json,
+                   trace_to_json, typed_run, verify_decomposition)
+model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+lam = parse_model(Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+trace = typed_run(model.term, model.globals,
+                  Classification(dict(lam.elements)), steps=30)
+assert verify_decomposition(trace_from_json(trace_to_json(trace)))
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_cold_start_loads_neither_dataclasses_nor_inspect():
+    # each CLI command is a fresh interpreter: the package, a golden run
+    # and a trace round trip must not pay for importing these modules
+    src = str(Path(clslr.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-I", "-c", COLD_START, src],
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_golden_trace_bytes_do_not_depend_on_hash_seed():
     # node hashes are identities, so no output may follow the iteration
     # order of a set or dict of nodes.  -I would ignore PYTHONHASHSEED
