@@ -8,6 +8,8 @@ agreement is evidence, not tautology.
   on raw (binary) terms, used to cross-check ``normalize``-based equality
 * brute-force matcher: enumerate candidate instantiations from the target's
   own material and keep those whose substitution reproduces the target
+* one-step reduction: every term a single GRT, LR, LR-Out or LR-In
+  application yields, built from the schemas with the brute-force matcher
 * seeded random generators for patterns, ground terms and whole models
 """
 
@@ -235,6 +237,124 @@ def oracle_match(p: Pattern, t: Pattern) -> set:
 def canonical_results(results) -> set:
     """Engine match results as comparable frozensets."""
     return {frozenset(inst.items()) for inst in results}
+
+
+# --------------------------------------------------------------------------
+# one-step reduction oracle
+#
+# Each schema matches its left side against a sub-multiset of one
+# compartment's unmarked members, keeps the rule occurrence and adds the
+# frozen instantiated right side; the schemas differ only in where that
+# goes.  Every sub-multiset is tried, and every instantiation the
+# brute-force matcher finds for it.
+
+
+def _members(p: Pattern) -> tuple:
+    if isinstance(p, Par):
+        return p.parts
+    return () if p == EPS else (p,)
+
+
+def _marked(p: Pattern) -> bool:
+    if isinstance(p, Frozen):
+        return True
+    if isinstance(p, Loop):
+        return p.mem_frozen or _marked(p.content)
+    if isinstance(p, Par):
+        return any(_marked(m) for m in p.parts)
+    if isinstance(p, (PlainRule, OutRule, InRule)):
+        return _marked(p.lhs) or _marked(p.rhs)
+    return False
+
+
+def _compartments(members: tuple, fill, loop=None, put=None):
+    """``(members, loop, fill, put)`` for the compartment holding ``members``
+    and every compartment reachable inside it.  ``fill(c)`` is the whole
+    term with the compartment's content replaced by ``c``; ``put(x)`` the
+    whole term with its membrane ``loop`` replaced by ``x`` (both None at
+    the root).  A frozen subtree is not entered."""
+    yield members, loop, fill, put
+    for i, m in enumerate(members):
+        if isinstance(m, Loop):
+            def put_i(x, i=i):
+                return fill(Par(members[:i] + (x,) + members[i + 1:]))
+
+            def fill_i(c, m=m, put_i=put_i):
+                return put_i(Loop(m.membrane, c, m.mem_frozen))
+
+            yield from _compartments(_members(m.content), fill_i, m, put_i)
+
+
+def _fits(rule, members: tuple, pool: list, membrane=None):
+    """``(taken, inst)`` for every non-empty sub-multiset ``taken`` of the
+    pool that ``rule``'s left side matches (with ``membrane``: the rule's
+    membrane side matching it too) under an instantiation ``inst`` that
+    binds every variable of the right side."""
+    pat = rule.lhs if membrane is None else Loop(rule.lhs_mem, rule.lhs)
+    need = pattern_vars(rule.rhs, include_rule_bodies=False)
+    if membrane is not None:
+        need |= pattern_vars(Seq(rule.rhs_mem))
+    for r in range(1, len(pool) + 1):
+        for taken in itertools.combinations(pool, r):
+            bag = Par(tuple(members[i] for i in taken))
+            target = bag if membrane is None else Loop(membrane, bag)
+            for inst in oracle_match(pat, target):
+                inst = dict(inst)
+                if need <= inst.keys():
+                    yield set(taken), inst
+
+
+def one_step_reducts(rules, t: Pattern) -> set:
+    """Normal forms of every term one application to ``t`` yields.
+
+    ``rules`` are the global rules; local rules are the unmarked rule
+    members of each compartment.  Marked members are never matched, a
+    frozen membrane is never crossed again, and a membrane that material
+    crosses becomes frozen, so on a term reached within a parallel step
+    this is what the step may still do.
+    """
+    out = set()
+    for members, loop, fill, put in _compartments(_members(normalize(t)),
+                                                  lambda c: c):
+        free = [i for i, m in enumerate(members) if not _marked(m)]
+
+        def rest(taken):
+            return tuple(m for i, m in enumerate(members) if i not in taken)
+
+        def made(rule, inst):
+            return Frozen(substitute(rule.rhs, inst))
+
+        def crossed(rule, inst, content):
+            mem = substitute(Seq(rule.rhs_mem), inst).items
+            return Loop(mem, content, True)
+
+        for rule in rules:  # GRT
+            for taken, inst in _fits(rule, members, free):
+                out.add(fill(Par(rest(taken) + (made(rule, inst),))))
+        for ri in free:
+            rule = members[ri]
+            pool = [i for i in free if i != ri]
+            if isinstance(rule, PlainRule):  # LR
+                for taken, inst in _fits(rule, members, pool):
+                    out.add(fill(Par(rest(taken) + (made(rule, inst),))))
+            elif isinstance(rule, OutRule):  # LR-Out
+                if loop is None or loop.mem_frozen:
+                    continue
+                for taken, inst in _fits(rule, members, pool, loop.membrane):
+                    out.add(put(Par((made(rule, inst), crossed(
+                        rule, inst, Par(rest(taken)))))))
+            elif isinstance(rule, InRule):  # LR-In
+                for li, target in enumerate(members):
+                    if (li == ri or not isinstance(target, Loop)
+                            or target.mem_frozen):
+                        continue
+                    into = [i for i in pool if i != li]
+                    for taken, inst in _fits(rule, members, into,
+                                             target.membrane):
+                        out.add(fill(Par(rest(taken | {li}) + (crossed(
+                            rule, inst,
+                            Par((target.content, made(rule, inst)))),))))
+    return {normalize(r) for r in out}
 
 
 # --------------------------------------------------------------------------
