@@ -27,6 +27,11 @@ discipline and then erases all marks.
 Labels are replayable: applying them in order to the recorded initial term
 deterministically reproduces the run, which is what
 :func:`verify_decomposition` checks.
+
+An application edits normal forms in place: the members of a normalized
+compartment are sorted, so its residue and its rewritten content are
+spliced (:func:`~clslr.terms.splice`) rather than sorted again, and each
+level of the path back to the root is rebuilt the same way.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from .terms import (
     members_of,
     min_rotation,
     normalize,
+    splice,
 )
 
 DEFAULT_STEP_CAP = 10**5
@@ -143,6 +149,7 @@ def node_at(mt: Pattern, path: tuple) -> Pattern:
 
 
 def replace_at(mt: Pattern, path: tuple, new: Pattern) -> Pattern:
+    """``mt`` with ``new`` at ``path``, in normal form; ``mt`` must be one."""
     return _graft(_spine(mt, path), path, new)
 
 
@@ -163,12 +170,17 @@ def _spine(mt: Pattern, path: tuple) -> list:
 
 
 def _graft(spine: list, path: tuple, new: Pattern) -> Pattern:
-    """The root of a :func:`_spine` along ``path``, ``new`` as its target."""
+    """The root of a :func:`_spine` along ``path``, ``new`` as its target.
+
+    The spine must run through a normal form.  Each level up is rebuilt in
+    normal form: a membrane is normalized around its new content, and a
+    parallel composition has ``new`` spliced in for the member it replaces.
+    """
     for node, step in zip(reversed(spine[:-1]), reversed(path)):
         if step == "loop":
-            new = Loop(node.membrane, new, node.mem_frozen)
+            new = normalize(Loop(node.membrane, new, node.mem_frozen))
         else:
-            new = Par(node.parts[:step] + (new,) + node.parts[step + 1:])
+            new = splice(node.parts, (step,), (new,))
     return new
 
 
@@ -317,8 +329,11 @@ def _residue(schema: str, members: tuple, consumed: set,
         return EPS
     if schema == SCHEMA_LR_IN:
         return normalize(erase(crossed.content))
-    rest = tuple(m for i, m in enumerate(members) if i not in consumed)
-    return normalize(erase(Par(rest)))
+    # the marked members left are taken out, erased and spliced back in
+    marked = [i for i, m in enumerate(members)
+              if i not in consumed and has_marks(m)]
+    return splice(members, consumed.union(marked),
+                  [erase(members[i]) for i in marked])
 
 
 # --------------------------------------------------------------------------
@@ -368,17 +383,17 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     if _residue(schema, members, taken.union(held), crossed) != label.residue:
         raise StaleLabelError("stored residue does not match the site")
     produced = Frozen(substitute(rule.rhs, inst))
-    rest = [m for i, m in enumerate(members) if i not in taken]
     if schema == SCHEMA_LR_OUT:
         # the produced material leaves across the crossed membrane
-        new = Par((produced, _crossed(rule, inst, rest)))
+        new = splice((), (), (produced, _crossed(
+            rule, inst, splice(members, taken, ()))))
     elif schema == SCHEMA_LR_IN:
         # the produced material enters the target membrane
-        rest.remove(crossed)
-        new = _rebuild([*rest, _crossed(
-            rule, inst, [*members_of(crossed.content), produced])])
+        content = splice(members_of(crossed.content), (), (produced,))
+        new = splice(members, {*taken, li},
+                     (_crossed(rule, inst, content),))
     else:
-        new = _rebuild([*rest, produced])
+        new = splice(members, taken, (produced,))
     return normalize(_graft(spine, label.path, new))
 
 
@@ -394,13 +409,9 @@ def _take(members: tuple, lhs: Pattern, inst: dict, excluded: tuple):
     return set(got[0])
 
 
-def _rebuild(members) -> Pattern:
-    return normalize(Par(tuple(members)))
-
-
-def _crossed(rule, inst: dict, content: list) -> Loop:
+def _crossed(rule, inst: dict, content: Pattern) -> Loop:
     """The membrane a crossing rule rewrote, frozen for the rest of the step."""
-    return Loop(min_rotation(subst_seq(rule.rhs_mem, inst)), _rebuild(content), True)
+    return Loop(min_rotation(subst_seq(rule.rhs_mem, inst)), content, True)
 
 
 # --------------------------------------------------------------------------

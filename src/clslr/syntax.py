@@ -135,8 +135,8 @@ class ModelFile:
 
 
 class _Parser:
-    def __init__(self, text: str, path: str | None = None):
-        self.tokens = tokenize(text, path)
+    def __init__(self, tokens: list, path: str | None = None):
+        self.tokens = tokens
         self.path = path
         self.i = 0
         self.rule_depth = 0
@@ -361,7 +361,13 @@ class _Parser:
 
 def _parse_all(text: str, path: str | None, parse):
     """``parse`` applied to a fresh parser over ``text``, which it must use up."""
-    p = _Parser(text, path)
+    return _parse_tokens(tokenize(text, path), path, parse)
+
+
+def _parse_tokens(tokens: list, path: str | None, parse):
+    """``parse`` applied to a fresh parser over ``tokens`` (the last one
+    ``eof``), which it must use up."""
+    p = _Parser(tokens, path)
     out = parse(p)
     p.expect_eof()
     return out
@@ -447,15 +453,34 @@ def trace_to_json(trace: Trace) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _term_from_text(text: str) -> Pattern:
-    return normalize(parse_pattern_text(text))
+_OPEN = frozenset("([{")
+_CLOSE = frozenset(")]}")
+
+
+def _cut_members(tokens: list) -> list:
+    """``tokens`` (the last one ``eof``) cut at each ``|`` outside brackets:
+    one token list per parallel member, each ending in an ``eof`` token."""
+    pieces, start, depth = [], 0, 0
+    for i, tok in enumerate(tokens):
+        if tok.kind != "punct":
+            continue
+        if tok.text in _OPEN:
+            depth += 1
+        elif tok.text in _CLOSE:
+            depth -= 1
+        elif tok.text == "|" and not depth:
+            end = Token("eof", "", tok.line, tok.col)
+            pieces.append(tokens[start:i] + [end])
+            start = i + 1
+    pieces.append(tokens[start:])
+    return pieces
 
 
 def _local_rule_from_text(text: str) -> LocalRule:
     return normalize(parse_local_rule_text(text))
 
 
-def _sigma_from_json(sigma: dict, parsed) -> dict:
+def _sigma_from_json(sigma: dict, parsed, read_term) -> dict:
     inst = {}
     for key, value in sigma.items():
         kind, name = key[0], key[1:]
@@ -467,7 +492,7 @@ def _sigma_from_json(sigma: dict, parsed) -> dict:
         elif kind == "~":
             inst[SeqVar(name)] = parsed(parse_seq_text, value)
         elif kind == "$":
-            inst[TermVar(name)] = parsed(_term_from_text, value)
+            inst[TermVar(name)] = parsed(read_term, value)
         else:
             raise ValueError(f"unknown variable kind in {key!r}")
     return inst
@@ -515,7 +540,28 @@ def _trace_from_doc(doc: dict) -> Trace:
             node = memo[key] = parse(text)
         return node
 
-    rounds: dict[int, list] = {}
+    members: dict = {}
+
+    def read_term(text):
+        """``normalize(parse_pattern_text(text))``, tokenizing ``text`` once
+        and parsing each distinct member once.  If a member does not parse,
+        the whole text is parsed, which fails where and as a fresh parse
+        does."""
+        tokens = tokenize(text)
+        parts = []
+        try:
+            for piece in _cut_members(tokens):
+                key = tuple(tok.text for tok in piece)
+                node = members.get(key)
+                if node is None:
+                    node = members[key] = normalize(
+                        _parse_tokens(piece, None, _Parser.parse_par))
+                parts.append(node)
+        except (ModelSyntaxError, RecursionError):
+            return normalize(_parse_tokens(tokens, None, _Parser.parse_par))
+        return normalize(Par(tuple(parts)))
+
+    rounds: list = []
     for step in doc["steps"]:
         schema = step["schema"]
         label = ReductionLabel(
@@ -524,14 +570,21 @@ def _trace_from_doc(doc: dict) -> Trace:
                         else _local_rule_from_text, step["rule"]),
             path=tuple(s if s == "loop" else _int(s, "path step")
                        for s in step["path"]),
-            binding=_binding_items(_sigma_from_json(step["sigma"], parsed)),
-            residue=parsed(_term_from_text, step["residue"]),
+            binding=_binding_items(
+                _sigma_from_json(step["sigma"], parsed, read_term)),
+            residue=parsed(read_term, step["residue"]),
         )
-        rounds.setdefault(_int(step["round"], "round"), []).append(label)
+        rnum = _int(step["round"], "round")
+        if rnum == len(rounds) + 1:
+            rounds.append([])
+        elif rnum != len(rounds) or not rounds:
+            raise ValueError(f"rounds must start at 1 and rise by at most 1"
+                             f" a step, not {rnum} after {len(rounds)}")
+        rounds[-1].append(label)
     return Trace(
-        initial=parsed(_term_from_text, doc["initial"]),
-        rounds=tuple(tuple(rounds[r]) for r in sorted(rounds)),
-        final=parsed(_term_from_text, doc["final"]),
+        initial=parsed(read_term, doc["initial"]),
+        rounds=tuple(map(tuple, rounds)),
+        final=parsed(read_term, doc["final"]),
         seed=seed,
         strategy=strategy,
         k=k,

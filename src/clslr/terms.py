@@ -26,9 +26,10 @@ congruent componentwise.  ``normalize`` maps every pattern to a canonical
 representative (flattened, members sorted, least membrane rotation); since
 that representative is interned, congruence is identity of normal forms,
 which is what ``equiv`` checks.  ``normalize``, ``canonical_text``,
-``has_marks`` and ``local_rule_violations`` memoise their result on the
-node itself, so a memo is freed with its node and retained memory follows
-the live terms.
+``has_marks``, ``erase`` and ``local_rule_violations`` memoise their result
+on the node itself, so a memo is freed with its node and retained memory
+follows the live terms.  ``splice`` edits the members of a normal form
+without sorting them again.
 
 The rewrite engine additionally tracks which material was produced within
 the current parallel step.  Such material is wrapped in ``Frozen`` marks;
@@ -41,6 +42,7 @@ loop or rule boundary.
 from __future__ import annotations
 
 import weakref
+from bisect import insort
 from functools import cache
 
 
@@ -179,14 +181,16 @@ def atom_text(a: Atom) -> str:
 class Pattern(_Node):
     """Base class for every pattern / term node.
 
-    The three class attributes below are the unset per-node memos of
-    :func:`normalize`, :func:`canonical_text` and :func:`has_marks`.
+    The four class attributes below are the unset per-node memos of
+    :func:`normalize`, :func:`canonical_text`, :func:`has_marks` and
+    :func:`erase`.
     """
 
     __slots__ = ()
     _norm = None
     _text = None
     _marks = None
+    _erased = None
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -457,6 +461,25 @@ def sub_bag(members: tuple[Pattern, ...], idxs: tuple[int, ...]) -> Pattern:
     return bag
 
 
+def splice(members: tuple[Pattern, ...], drop, add) -> Pattern:
+    """``normalize(Par(kept + tuple(add)))``, ``kept`` the members whose
+    index is not in ``drop``, built without sorting them again.
+
+    ``members`` must be :func:`members_of` a normalized pattern, so ``kept``
+    is sorted by canonical text; each member of each normalized added
+    pattern is put in its place by bisection.
+    """
+    kept = [m for i, m in enumerate(members) if i not in drop]
+    for p in add:
+        for m in members_of(normalize(p)):
+            insort(kept, m, key=canonical_text)
+    if len(kept) < 2:
+        return kept[0] if kept else EPS
+    bag = Par(tuple(kept))
+    bag.__dict__["_norm"] = _NORMAL
+    return bag
+
+
 # --------------------------------------------------------------------------
 # variables, groundness, well-formedness
 
@@ -563,9 +586,22 @@ def _has_marks(p: Pattern) -> bool:
 
 
 def erase(p: Pattern) -> Pattern:
-    """Strip every frozen mark, keeping the tree otherwise intact."""
+    """Strip every frozen mark, keeping the tree otherwise intact.
+
+    The memo is kept only when it is another node: an erased tree is built
+    from the node's descendants, so it never holds the node itself.
+    """
     if not has_marks(p):
         return p
+    erased = p._erased
+    if erased is None:
+        erased = _erase(p)
+        if erased is not p:
+            p.__dict__["_erased"] = erased
+    return erased
+
+
+def _erase(p: Pattern) -> Pattern:
     if isinstance(p, Frozen):
         return erase(p.body)
     if isinstance(p, Loop):

@@ -270,6 +270,31 @@ def test_replay_rejects_path_steps_and_rounds_that_are_not_integers(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rounds", [
+    [11, 12, 12, 13, 13, 13],  # shifted
+    [0, 1, 1, 2, 2, 2],  # from zero
+    [-1, 0, 0, 1, 1, 1],  # negative
+    [1, 3, 3, 4, 4, 4],  # a round skipped
+    [1, 2, 2, 3, 3, 2],  # a round revisited
+], ids=["shifted", "zero", "negative", "skipped", "revisited"])
+def test_replay_rejects_rounds_that_do_not_count_up_from_one(
+        tmp_path, capsys, rounds):
+    tr = tmp_path / "out.trace.json"
+    assert main(["run", MODEL, "--lambda", LAMBDA, "--typed", "--steps", "3",
+                 "--format", "json", "--out", str(tr)]) == 0
+    doc = json.loads(tr.read_text())
+    assert [step["round"] for step in doc["steps"]] == [1, 2, 2, 3, 3, 3]
+    assert main(["replay", str(tr)]) == 0
+    for step, rnum in zip(doc["steps"], rounds):
+        step["round"] = rnum
+    tr.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(tr)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tr}:1:1: malformed trace document: "), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["check", "lambda", "replay"])
 def test_input_that_is_not_utf8_is_a_diagnostic(tmp_path, capsys, where):
     bad = tmp_path / "bad.txt"

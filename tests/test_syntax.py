@@ -449,6 +449,60 @@ def test_each_distinct_trace_text_is_tokenized_once(monkeypatch):
     assert sorted(seen) == sorted(text for _, text in distinct)
 
 
+def test_each_term_read_is_the_normal_form_of_its_text():
+    texts = [trace_to_json(golden_trace())]
+    for seed in range(100):
+        term, globals_, _ = random_model(seed)
+        for strategy, k in (("maximal", None), ("random-k", 2)):
+            texts.append(trace_to_json(run(term, globals_, steps=3,
+                                           strategy=strategy, seed=seed,
+                                           k=k)))
+    read = 0
+    for text in texts:
+        doc, tr = json.loads(text), trace_from_json(text)
+        pairs = [(tr.initial, doc["initial"]), (tr.final, doc["final"])]
+        for lbl, step in zip(tr.labels, doc["steps"]):
+            pairs.append((lbl.residue, step["residue"]))
+            binding = dict(lbl.binding)
+            pairs += [(binding[TermVar(var[1:])], image)
+                      for var, image in step["sigma"].items()
+                      if var[0] == "$"]
+        for node, term_text in pairs:
+            assert node is normalize(parse_pattern_text(term_text)), term_text
+        read += len(pairs)
+    assert read > 1000
+
+
+@pytest.mark.parametrize("residue", [
+    "a | ? | b",  # a bad second member
+    "a|b",
+    "b | a # a comment",
+    "a | # a comment\n b",
+    "(a | b) | c",
+    "loop(m)[a | b | c",
+    "a ) | b",
+    "(a | b",
+    "a | b ]",
+    "a | { eps => b } | c",  # an ill-formed rule as a member
+    "a | { a => $X }",
+    "a |",
+    "| a",
+    "",
+])
+def test_tampered_residue_reads_as_a_whole_text_parse(residue):
+    _, tr = trace_fixture()
+    doc = json.loads(trace_to_json(tr))
+    doc["steps"][-1]["residue"] = residue
+    try:
+        want = normalize(parse_pattern_text(residue))
+    except ModelSyntaxError as exc:
+        with pytest.raises(ModelSyntaxError) as got:
+            trace_from_json(json.dumps(doc))
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert trace_from_json(json.dumps(doc)).labels[-1].residue is want
+
+
 def test_repeated_ill_formed_rule_text_raises_where_it_did():
     _, tr = trace_fixture()
     doc = json.loads(trace_to_json(tr))

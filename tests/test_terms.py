@@ -36,6 +36,7 @@ from clslr.terms import (
     normalize,
     pattern_vars,
     seq,
+    splice,
 )
 from clslr import bundled_model, terms
 from clslr.syntax import parse_model
@@ -48,6 +49,7 @@ from oracles import (
     node_count,
     one_step,
     random_ground_term,
+    random_membrane,
     random_pattern,
 )
 
@@ -409,3 +411,54 @@ def test_frozen_membrane_renders_with_marker():
     assert canonical_text(Frozen(seq("a"))) == "!a"
     assert canonical_text(Frozen(Loop((a,), Par((seq("b"), seq("c")))))) \
         == "!loop(a)[b | c]"
+
+
+# -- splicing
+
+def _piece(rng: Random):
+    """A ground term that may be marked, a frozen membrane, eps or a bag."""
+    roll = rng.random()
+    if roll < 0.2:
+        return Frozen(random_ground_term(rng, 2))
+    if roll < 0.35:
+        return Loop(random_membrane(rng), random_ground_term(rng, 1), True)
+    if roll < 0.45:
+        return EPS
+    if roll < 0.55:
+        return Par((_piece(rng), _piece(rng)))
+    return random_ground_term(rng, 2)
+
+
+@given(st.integers(0, 2**32), st.integers(0, 6), st.integers(0, 3),
+       st.data())
+def test_splice_is_normalize_of_the_kept_and_added(seed, n, n_add, data):
+    rng = Random(seed)
+    members = members_of(normalize(Par(tuple(_piece(rng)
+                                             for _ in range(n)))))
+    keep = data.draw(st.sets(st.sampled_from(range(len(members))))
+                     if members else st.just(set()))
+    drop = set(range(len(members))) - keep
+    add = tuple(_piece(rng) for _ in range(n_add))
+    kept = tuple(m for i, m in enumerate(members) if i not in drop)
+    got = splice(members, drop, add)
+    assert got is normalize(Par(kept + add))
+    assert normalize(got) is got
+
+
+def test_splice_edge_cases():
+    members = members_of(normalize(Par((seq("b"), Frozen(seq("a")),
+                                        PlainRule(seq("a"), seq("c"))))))
+    assert splice(members, {0, 1, 2}, ()) is EPS
+    assert splice(members, {0, 1, 2}, (EPS, Par((EPS, seq("c"))))) is seq("c")
+    assert splice(members, {0, 2}, ()) is members[1]
+    assert splice((), (), (Par((seq("c"), seq("a"))),)) \
+        is normalize(Par((seq("a"), seq("c"))))
+
+
+def test_erase_memo_is_kept_on_marked_nodes_only():
+    t = normalize(Par((Frozen(seq("a")), Loop((a,), seq("b"), True))))
+    e = erase(t)
+    assert erase(t) is e and t.__dict__["_erased"] is e
+    assert "_erased" not in vars(e)  # unmarked: erase is the identity
+    r = PlainRule(Frozen(seq("a")), seq("b"))  # a rule body is not erased
+    assert erase(r) is r and "_erased" not in vars(r)

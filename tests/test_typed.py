@@ -11,12 +11,19 @@ import pytest
 
 import clslr
 from clslr import bundled_model
-from clslr.engine import apply_label, find_redexes, run
+from clslr.engine import (
+    apply_label,
+    find_redexes,
+    replay,
+    run,
+    verify_decomposition,
+)
 from clslr.syntax import (
     merge_elements,
     parse_global_text,
     parse_model,
     parse_pattern_text,
+    trace_from_json,
     trace_to_json,
 )
 from clslr.terms import erase, normalize
@@ -231,6 +238,28 @@ def test_golden_trace_bytes_do_not_depend_on_hash_seed():
                       Classification(dict(lam.elements)), steps=30)
     assert len(trace.labels) == 231
     assert text0 == trace_to_json(trace)
+
+
+def test_golden_replay_leaves_no_cyclic_garbage():
+    # the memos of normalize, erase and the rest never refer back to their
+    # node, so reading and replaying a trace frees everything it built
+    model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
+    lam = parse_model(
+        Path(bundled_model("mitochondria.lambda.clslr")).read_text())
+    classif = Classification(dict(lam.elements))
+    text = trace_to_json(typed_run(model.term, model.globals, classif,
+                                   steps=30))
+    assert replay(trace_from_json(text))
+    gc.collect()
+    gc.disable()
+    try:
+        trace = trace_from_json(text)
+        assert verify_decomposition(trace)
+        final = replay(trace)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert final is trace.final and len(trace.labels) == 231
 
 
 # sha256 and length of the golden model's typed maximal trace JSON, as the
