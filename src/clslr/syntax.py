@@ -457,10 +457,10 @@ _OPEN = frozenset("([{")
 _CLOSE = frozenset(")]}")
 
 
-def _cut_members(tokens: list) -> list:
-    """``tokens`` (the last one ``eof``) cut at each ``|`` outside brackets:
-    one token list per parallel member, each ending in an ``eof`` token."""
-    pieces, start, depth = [], 0, 0
+def _member_ends(tokens: list) -> list:
+    """The index in ``tokens`` (the last one ``eof``) of each ``|`` outside
+    brackets, then of the ``eof``: where each parallel member ends."""
+    ends, depth = [], 0
     for i, tok in enumerate(tokens):
         if tok.kind != "punct":
             continue
@@ -469,11 +469,9 @@ def _cut_members(tokens: list) -> list:
         elif tok.text in _CLOSE:
             depth -= 1
         elif tok.text == "|" and not depth:
-            end = Token("eof", "", tok.line, tok.col)
-            pieces.append(tokens[start:i] + [end])
-            start = i + 1
-    pieces.append(tokens[start:])
-    return pieces
+            ends.append(i)
+    ends.append(len(tokens) - 1)
+    return ends
 
 
 def _local_rule_from_text(text: str) -> LocalRule:
@@ -544,21 +542,28 @@ def _trace_from_doc(doc: dict) -> Trace:
 
     def read_term(text):
         """``normalize(parse_pattern_text(text))``, tokenizing ``text`` once
-        and parsing each distinct member once.  If a member does not parse,
-        the whole text is parsed, which fails where and as a fresh parse
-        does."""
+        and parsing each distinct member once.  If a member does not parse
+        as one item, the whole text is parsed, which fails where and as a
+        fresh parse does."""
         tokens = tokenize(text)
-        parts = []
-        try:
-            for piece in _cut_members(tokens):
-                key = tuple(tok.text for tok in piece)
-                node = members.get(key)
-                if node is None:
-                    node = members[key] = normalize(
-                        _parse_tokens(piece, None, _Parser.parse_par))
-                parts.append(node)
-        except (ModelSyntaxError, RecursionError):
-            return normalize(_parse_tokens(tokens, None, _Parser.parse_par))
+        texts = [tok.text for tok in tokens]
+        parser = _Parser(tokens)
+        parts, start = [], 0
+        for end in _member_ends(tokens):
+            key = tuple(texts[start:end])
+            node = members.get(key)
+            if node is None:
+                parser.i = start
+                try:
+                    node = parser.parse_item()
+                except (ModelSyntaxError, RecursionError):
+                    node = None
+                if node is None or parser.i != end:
+                    return normalize(
+                        _parse_tokens(tokens, None, _Parser.parse_par))
+                node = members[key] = normalize(node)
+            parts.append(node)
+            start = end + 1
         return normalize(Par(tuple(parts)))
 
     rounds: list = []

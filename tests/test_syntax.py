@@ -475,6 +475,8 @@ def test_each_term_read_is_the_normal_form_of_its_text():
 
 @pytest.mark.parametrize("residue", [
     "a | ? | b",  # a bad second member
+    "a b | c",
+    "a | b c",
     "a|b",
     "b | a # a comment",
     "a | # a comment\n b",
