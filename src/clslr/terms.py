@@ -588,8 +588,9 @@ def _has_marks(p: Pattern) -> bool:
 def erase(p: Pattern) -> Pattern:
     """Strip every frozen mark, keeping the tree otherwise intact.
 
-    The memo is kept only when it is another node: an erased tree is built
-    from the node's descendants, so it never holds the node itself.
+    The memo is kept only when it is another node (a rule is returned as
+    it is), so it makes no reference cycle: any other erased tree is built
+    from the node's descendants and never holds the node itself.
     """
     if not has_marks(p):
         return p
