@@ -28,8 +28,9 @@ that representative is interned, congruence is identity of normal forms,
 which is what ``equiv`` checks.  ``normalize``, ``canonical_text``,
 ``has_marks``, ``erase`` and ``local_rule_violations`` memoise their result
 on the node itself, so a memo is freed with its node and retained memory
-follows the live terms.  ``splice`` edits the members of a normal form
-without sorting them again.
+follows the live terms.  ``splice`` is the one builder of parallel normal
+forms: ``normalize`` builds every ``Par`` with it, and it edits the members
+of a normal form without sorting them again.
 
 The rewrite engine additionally tracks which material was produced within
 the current parallel step.  Such material is wrapped in ``Frozen`` marks;
@@ -409,24 +410,10 @@ def _normalize(p: Pattern) -> Pattern:
         if isinstance(body, Frozen):
             return body
         if isinstance(body, Par):
-            return normalize(Par(tuple(Frozen(m) for m in body.parts)))
+            return splice((), (), [Frozen(m) for m in body.parts])
         return Frozen(body)
     if isinstance(p, Par):
-        members: list[Pattern] = []
-        for part in p.parts:
-            m = normalize(part)
-            if m is EPS:
-                continue
-            if isinstance(m, Par):
-                members.extend(m.parts)
-            else:
-                members.append(m)
-        if not members:
-            return EPS
-        if len(members) == 1:
-            return members[0]
-        members.sort(key=canonical_text)
-        return Par(tuple(members))
+        return splice((), (), p.parts)
     raise TypeError(f"not a pattern: {p!r}")
 
 
