@@ -16,7 +16,9 @@ applies, in discovery order:
 
 All four match the left side in one compartment, keep the rule occurrence
 and add the frozen right side; only where that goes, which membrane is
-rewritten and what the stored residue means depend on the schema.
+rewritten and what the stored residue means depend on the schema, and
+:func:`_candidates` alone says where: discovery asks it at every site,
+application at the one :func:`label_site` finds, for the label's schema.
 
 Material produced by an application is wrapped in frozen marks, and within
 one parallel step nothing frozen may be matched again, the rule occurrence
@@ -68,6 +70,7 @@ from .terms import (
     TermVar,
     erase,
     has_marks,
+    is_ground,
     members_of,
     min_rotation,
     normalize,
@@ -264,7 +267,7 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
     members = members_of(mt if loop is None else loop.content)
     unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
     for schema, rule, path, held, crossed in _candidates(
-            rules, site_path, loop, members, unmarked):
+            SCHEMAS, rules, site_path, loop, members, unmarked):
         pool = tuple(i for i in unmarked if i not in held)
         m_insts = (({},) if crossed is None else match_seq_rotations(
             rule.lhs_mem, crossed.membrane, {}, budget))
@@ -275,13 +278,15 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
                     _residue(schema, members, {*held, *used}, crossed))
 
 
-def _candidates(rules, site_path: tuple, loop, members: tuple,
+def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
                 unmarked: tuple):
     """``(schema, rule, path, held, crossed)`` per rule that may fire at a
-    site, in :data:`SCHEMAS` order: ``held`` are the member indices kept out
-    of the match (the occurrence, the LR-In target), ``crossed`` the membrane
-    node the rule's membrane side must match, or None."""
-    for schema, kind in SCHEMAS.items():
+    site under one of ``schemas``, in that order: ``path`` is the label's,
+    ``held`` are the member indices kept out of the match (the occurrence,
+    the LR-In target), ``crossed`` the membrane node the rule's membrane
+    side must match, or None."""
+    for schema in schemas:
+        kind = SCHEMAS[schema]
         if kind is GlobalRule:
             for rule in rules:
                 yield schema, rule, site_path, (), None
@@ -342,10 +347,12 @@ def _residue(schema: str, members: tuple, consumed: set,
 def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     """Apply one label, enforcing the freeze discipline; raises on staleness.
 
-    Deterministic re-location: the first unmarked fit (by member index) of
-    the instantiated pieces, cross-checked against the stored residue.  A
-    label whose rule is not of the kind :data:`SCHEMAS` gives its schema
-    is stale.
+    :func:`label_site` finds the compartment and :func:`_candidates`, asked
+    for the label's schema, the rule's occurrences there.  The first
+    candidate (by member index) whose crossed membrane fits the rule, among
+    whose other unmarked members the instantiated lhs is found by first
+    fit, and whose residue is the stored one is rewritten; else the
+    :class:`StaleLabelError` names the furthest check reached.
     """
     schema, rule = label.schema, label.rule
     if SCHEMAS.get(schema) is not type(rule):
@@ -353,35 +360,29 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
             f"schema {schema!r} does not apply a {type(rule).__name__}")
     mt = normalize(mt)
     inst = label.binding_dict()
-    spine = _spine(mt, label.path)
-    site = spine[-1]
-    crossed = None
-    if schema == SCHEMA_LR_OUT:
-        crossed = site
-        if not isinstance(site, Loop) or site.mem_frozen:
-            raise StaleLabelError("membrane to cross is gone or already frozen")
-        if min_rotation(subst_seq(rule.lhs_mem, inst)) != site.membrane:
-            raise StaleLabelError("membrane no longer matches the rule")
-        site = site.content
-    members = members_of(site)
-    held = ()
-    if schema != SCHEMA_GRT:
-        if rule not in members:
-            raise StaleLabelError("rule occurrence is gone")
-        held = (members.index(rule),)
-    if schema == SCHEMA_LR_IN:
-        mem = min_rotation(subst_seq(rule.lhs_mem, inst))
-        li = next((i for i, m in enumerate(members)
-                   if i not in held and isinstance(m, Loop)
-                   and not m.mem_frozen and m.membrane == mem
-                   and normalize(erase(m.content)) == label.residue), None)
-        if li is None:
-            raise StaleLabelError("target membrane is gone or already frozen")
-        held += (li,)
-        crossed = members[li]
-    taken = _take(members, rule.lhs, inst, held)
-    if _residue(schema, members, taken.union(held), crossed) != label.residue:
-        raise StaleLabelError("stored residue does not match the site")
+    spine, site_path, loop, members = label_site(mt, schema, label.path)
+    unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
+    needed = members_of(substitute(rule.lhs, inst))
+    reached = 0  # checks passed by the furthest candidate, indexes _STALE
+    for _, occ, _, held, crossed in _candidates(
+            (schema,), (rule,), site_path, loop, members, unmarked):
+        if occ is not rule:
+            continue
+        if crossed is not None and crossed.membrane != min_rotation(
+                subst_seq(rule.lhs_mem, inst)):
+            reached = max(reached, 1)
+            continue
+        got = needed and _consume(
+            members, tuple(i for i in unmarked if i not in held), needed)
+        if not got:
+            reached = max(reached, 2)
+            continue
+        taken = set(got[0])
+        if _residue(schema, members, taken.union(held), crossed) == label.residue:
+            break
+        reached = 3
+    else:
+        raise StaleLabelError(_STALE[reached])
     produced = Frozen(substitute(rule.rhs, inst))
     if schema == SCHEMA_LR_OUT:
         # the produced material leaves across the crossed membrane
@@ -390,23 +391,30 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     elif schema == SCHEMA_LR_IN:
         # the produced material enters the target membrane
         content = splice(members_of(crossed.content), (), (produced,))
-        new = splice(members, {*taken, li},
+        new = splice(members, taken.union(held[1:]),
                      (_crossed(rule, inst, content),))
     else:
         new = splice(members, taken, (produced,))
-    return normalize(_graft(spine, label.path, new))
+    return normalize(_graft(spine[:len(label.path) + 1], label.path, new))
 
 
-def _take(members: tuple, lhs: Pattern, inst: dict, excluded: tuple):
-    needed = members_of(substitute(lhs, inst))
-    if not needed:
-        raise StaleLabelError("matched material instantiates to eps")
-    allowed = tuple(i for i, m in enumerate(members)
-                    if i not in excluded and not has_marks(m))
-    got = _consume(members, allowed, needed)
-    if got is None:
-        raise StaleLabelError("matched material is no longer available unmarked")
-    return set(got[0])
+_STALE = ("rule occurrence or membrane is gone",
+          "membrane no longer matches the rule",
+          "matched material is no longer available unmarked",
+          "stored residue does not match the site")
+
+
+def label_site(mt: Pattern, schema: str, path: tuple):
+    """``(spine, site_path, loop, members)`` of the compartment that a label
+    at ``path`` rewrites: its :func:`_spine`, path, enclosing membrane node
+    (None at the root, or where the path ends at a parallel member, which
+    then stands alone) and members.  An LR-Out path names the membrane being
+    crossed, so the compartment is its content; any other names it itself.
+    """
+    site_path = path + ("loop",) if schema == SCHEMA_LR_OUT else path
+    spine = _spine(mt, site_path)
+    loop = spine[-2] if site_path[-1:] == ("loop",) else None
+    return spine, site_path, loop, members_of(spine[-1])
 
 
 def _crossed(rule, inst: dict, content: Pattern) -> Loop:
@@ -425,7 +433,8 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
 
     Strategies: ``single`` applies the first redex; ``random-k`` applies up
     to ``k`` seeded-random redexes; ``maximal`` applies redexes until none
-    remains.  A step that applies nothing ends the run early.
+    remains.  A step that applies nothing ends the run early.  A marked or
+    non-ground ``term`` raises ``ValueError``.
     ``label_filter(mt, label)``, when given, vetoes candidate labels; the
     term passed to it is the current marked state.
 
@@ -439,8 +448,8 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     """
     _check_strategy(strategy, k)
     initial = normalize(term)
-    if has_marks(initial):
-        raise ValueError("cannot start from a marked term")
+    if has_marks(initial) or not is_ground(initial):
+        raise ValueError("a run starts from a ground, mark-free term")
     rng = random.Random(seed)
     first = strategy != "random-k"
     spent = weakref.WeakSet()
@@ -501,14 +510,16 @@ def replay(trace: Trace) -> Pattern:
 def verify_decomposition(trace: Trace) -> bool:
     """Check that a trace is a valid parallel reduction.
 
-    Replays every label under the strict freeze discipline (each must
-    rewrite only unmarked material, produced regions stay disjoint, and what
-    it produces is mark-free) and checks the recorded final term.  Every
+    From a ground, mark-free initial term, replays every label under the
+    strict freeze discipline (each must rewrite only unmarked material,
+    produced regions stay disjoint, and what it produces is mark-free) and
+    checks the recorded final term.  Every
     trace produced by :func:`run` is valid; a hand-built label that rewrites
     inside a frozen region or produces a mark is not.
     """
     try:
         return (not has_marks(normalize(trace.initial))
+                and is_ground(trace.initial)
                 and _replay(trace, strict=True) == normalize(trace.final))
     except (StaleLabelError, UnboundVariableError, MatchCapError):
         return False

@@ -21,11 +21,10 @@ from .engine import (
     DEFAULT_MATCH_CAP,
     DEFAULT_STEP_CAP,
     SCHEMA_GRT,
-    SCHEMA_LR_OUT,
     ReductionLabel,
     Trace,
     find_redexes,
-    node_at,
+    label_site,
     run,
 )
 from .matching import UnboundVariableError
@@ -49,11 +48,11 @@ def typed_ok(mt: Pattern, label: ReductionLabel, classif: Classification) -> boo
         if label.schema == SCHEMA_GRT:
             return check_global(basis, classif, label.rule)
         ptype = pattern_type(basis, classif, label.rule)
-        # the path of the compartment holding the rule, one step below the
-        # loop whose membrane must grant it (the root grants everything)
-        path = label.path + ("loop",) if label.schema == SCHEMA_LR_OUT else label.path
-        if path:
-            granted = membrane_type({}, classif, node_at(mt, path[:-1]).membrane)
+        # the membrane enclosing the rule's compartment must grant it (the
+        # root grants everything)
+        loop = label_site(mt, label.schema, label.path)[2]
+        if loop is not None:
+            granted = membrane_type({}, classif, loop.membrane)
             head = ptype[0] if ptype else frozenset()
             if not head <= granted:
                 return False

@@ -118,6 +118,15 @@ def test_replay_rejects_tampered_final(tmp_path, capsys):
     assert "does not replay" in capsys.readouterr().err
 
 
+def test_replay_rejects_initial_with_variables(tmp_path, capsys):
+    tr = tmp_path / "vars.trace.json"
+    tr.write_text(json.dumps(
+        {"steps": [], "initial": "?x | $Y", "final": "$Y | ?x"}))
+    assert main(["replay", str(tr)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{tr}:1:1: trace does not replay to its recorded final term\n"
+
+
 def test_replay_rejects_malformed_document(tmp_path, capsys):
     tr = tmp_path / "bad.trace.json"
     tr.write_text("{\"steps\": 7}")

@@ -32,6 +32,7 @@ from clslr.syntax import (
 )
 from clslr.terms import (
     EPS,
+    ElemVar,
     Element,
     Frozen,
     GlobalRule,
@@ -345,6 +346,11 @@ def test_run_rejects_marked_start():
         run(Frozen(seq("a")), [])
 
 
+def test_run_rejects_start_with_variables():
+    with pytest.raises(ValueError):
+        run(P("?x | { ?x => b }"), [])
+
+
 # -- labels, replay, verification
 
 def test_apply_label_is_stale_on_other_terms():
@@ -387,6 +393,15 @@ def test_verify_rejects_marked_initial():
     assert not verify_decomposition(tr)
 
 
+def test_verify_rejects_initial_with_variables():
+    t = P("?x | { ?x => b }")
+    (lbl,) = find_redexes([], t)
+    assert dict(lbl.binding) == {ElemVar("x"): ElemVar("x")}
+    final = normalize(erase(apply_label(t, lbl)))
+    assert verify_decomposition(Trace(t, ((lbl,),), final)) is False
+    assert verify_decomposition(Trace(P("?x | $Y"), (), P("$Y | ?x"))) is False
+
+
 def test_verify_rejects_every_schema_rule_kind_mismatch():
     t = P("e | a | { a => b } | loop(m)[ c | { c ^ m => c ^ m } ] | "
           "d | { d @ w => d @ w } | loop(w)[ eps ]")
@@ -403,6 +418,51 @@ def test_verify_rejects_every_schema_rule_kind_mismatch():
             assert verify_decomposition(bad) is False, (lbl.schema, schema)
             with pytest.raises(StaleLabelError):
                 apply_label(t, bad_lbl)
+
+
+GONE = "rule occurrence or membrane is gone"
+MEMBRANE = "membrane no longer matches the rule"
+MATERIAL = "matched material is no longer available unmarked"
+RESIDUE = "stored residue does not match the site"
+
+FOUR_SCHEMAS = ("e | a | { a => b } | loop(m)[ c | { c ^ m => c ^ m } ] | "
+                "d | { d @ w => d @ w } | loop(w)[ eps ]")
+
+
+@pytest.mark.parametrize("schema, old, new, residue, reason", [
+    ("GRT", "e |", "", None, MATERIAL),
+    ("GRT", "", "", "w", RESIDUE),
+    ("LR", "{ a => b } |", "", None, GONE),
+    ("LR", "a |", "", None, MATERIAL),
+    ("LR", "", "", "w", RESIDUE),
+    ("LR-Out", "{ c ^ m => c ^ m }", "eps", None, GONE),
+    ("LR-Out", "loop(m)", "loop(n)", None, MEMBRANE),
+    ("LR-Out", "c |", "", None, MATERIAL),
+    ("LR-Out", "", "", "w", RESIDUE),
+    ("LR-In", "{ d @ w => d @ w } |", "", None, GONE),
+    ("LR-In", "loop(w)[ eps ]", "loop(v)[ eps ]", None, MEMBRANE),
+    ("LR-In", "d |", "", None, MATERIAL),
+    ("LR-In", "", "", "w", RESIDUE),
+])
+def test_stale_label_names_the_furthest_check(schema, old, new, residue,
+                                              reason):
+    # each label of FOUR_SCHEMAS applied to an edited copy of it, or with a
+    # wrong stored residue, fails at the check named
+    (lbl,) = [lbl for lbl in find_redexes([G("e => f")], P(FOUR_SCHEMAS))
+              if lbl.schema == schema]
+    if residue is not None:
+        lbl = lbl._replace(residue=P(residue))
+    with pytest.raises(StaleLabelError) as err:
+        apply_label(P(FOUR_SCHEMAS.replace(old, new, 1)), lbl)
+    assert str(err.value) == reason
+
+
+def test_lr_out_membrane_frozen_is_gone():
+    t = P("loop(m)[ c | { c ^ m => c ^ m } ]")
+    (lbl,) = find_redexes([], t)
+    frozen = Loop(t.membrane, t.content, True)
+    with pytest.raises(StaleLabelError, match=GONE):
+        apply_label(frozen, lbl)
 
 
 @pytest.mark.parametrize("rule", [
