@@ -281,10 +281,9 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
 def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
                 unmarked: tuple):
     """``(schema, rule, path, held, crossed)`` per rule that may fire at a
-    site under one of ``schemas``, in that order: ``path`` is the label's,
-    ``held`` are the member indices kept out of the match (the occurrence,
-    the LR-In target), ``crossed`` the membrane node the rule's membrane
-    side must match, or None."""
+    site, in ``schemas`` order: ``held`` are the member indices kept out of
+    the match (the occurrence, the LR-In target), ``crossed`` the membrane
+    node the rule's membrane side must match, or None."""
     for schema in schemas:
         kind = SCHEMAS[schema]
         if kind is GlobalRule:
@@ -347,11 +346,10 @@ def _residue(schema: str, members: tuple, consumed: set,
 def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     """Apply one label, enforcing the freeze discipline; raises on staleness.
 
-    :func:`label_site` finds the compartment and :func:`_candidates`, asked
-    for the label's schema, the rule's occurrences there.  The first
-    candidate (by member index) whose crossed membrane fits the rule, among
-    whose other unmarked members the instantiated lhs is found by first
-    fit, and whose residue is the stored one is rewritten; else the
+    Of the candidates :func:`_candidates` gives for the label's schema and
+    rule at its :func:`label_site`, the first whose crossed membrane fits,
+    whose other unmarked members hold the instantiated lhs (first fit) and
+    whose residue is the stored one is rewritten; else the
     :class:`StaleLabelError` names the furthest check reached.
     """
     schema, rule = label.schema, label.rule
@@ -405,11 +403,10 @@ _STALE = ("rule occurrence or membrane is gone",
 
 
 def label_site(mt: Pattern, schema: str, path: tuple):
-    """``(spine, site_path, loop, members)`` of the compartment that a label
-    at ``path`` rewrites: its :func:`_spine`, path, enclosing membrane node
-    (None at the root, or where the path ends at a parallel member, which
-    then stands alone) and members.  An LR-Out path names the membrane being
-    crossed, so the compartment is its content; any other names it itself.
+    """``(spine, site_path, loop, members)`` of the compartment a label at
+    ``path`` rewrites: an LR-Out path names the crossed membrane, any other
+    the compartment itself (a parallel member stands alone).  ``loop`` is
+    the membrane node enclosing it, None at the root or a parallel member.
     """
     site_path = path + ("loop",) if schema == SCHEMA_LR_OUT else path
     spine = _spine(mt, site_path)

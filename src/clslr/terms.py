@@ -449,8 +449,8 @@ def sub_bag(members: tuple[Pattern, ...], idxs: tuple[int, ...]) -> Pattern:
 
 
 def splice(members: tuple[Pattern, ...], drop, add) -> Pattern:
-    """``normalize(Par(kept + tuple(add)))``, ``kept`` the members whose
-    index is not in ``drop``, built without sorting them again.
+    """The normal form of ``kept`` in parallel with ``add``, ``kept`` the
+    members whose index is not in ``drop``, built without sorting them again.
 
     ``members`` must be :func:`members_of` a normalized pattern, so ``kept``
     is sorted by canonical text.  A single added member is put in its place
@@ -459,7 +459,12 @@ def splice(members: tuple[Pattern, ...], drop, add) -> Pattern:
     lookups, where bisecting each would take ``log2(len(kept))`` apiece.
     """
     kept = [m for i, m in enumerate(members) if i not in drop]
-    new = [m for p in add for m in members_of(normalize(p))]
+    new = []
+    for p in map(normalize, add):
+        if isinstance(p, Par):
+            new += p.parts
+        elif p is not EPS:
+            new.append(p)
     if len(new) == 1:
         insort(kept, new[0], key=canonical_text)
     elif new:
