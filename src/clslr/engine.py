@@ -360,7 +360,7 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     inst = label.binding_dict()
     spine, site_path, loop, members = label_site(mt, schema, label.path)
     unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
-    needed = members_of(substitute(rule.lhs, inst))
+    needed = members_of(substitute(rule.lhs, inst))  # eps is no redex
     reached = 0  # checks passed by the furthest candidate, indexes _STALE
     for _, occ, _, held, crossed in _candidates(
             (schema,), (rule,), site_path, loop, members, unmarked):
@@ -510,9 +510,9 @@ def verify_decomposition(trace: Trace) -> bool:
     From a ground, mark-free initial term, replays every label under the
     strict freeze discipline (each must rewrite only unmarked material,
     produced regions stay disjoint, and what it produces is mark-free) and
-    checks the recorded final term.  Every
-    trace produced by :func:`run` is valid; a hand-built label that rewrites
-    inside a frozen region or produces a mark is not.
+    checks the recorded final term.  Every trace produced by :func:`run` is
+    valid; a hand-built label that rewrites inside a frozen region or
+    produces a mark is not.
     """
     try:
         return (not has_marks(normalize(trace.initial))
