@@ -28,7 +28,9 @@ discipline and then erases all marks.
 
 Labels are replayable: applying them in order to the recorded initial term
 deterministically reproduces the run, which is what
-:func:`verify_decomposition` checks.
+:func:`verify_decomposition` checks.  :func:`run` rewrites each label where
+its own scan matched it; :func:`apply_label`, which replay uses, locates a
+label's material from the label alone and then rewrites it by the same body.
 
 An application edits normal forms in place: the members of a normalized
 compartment are sorted, so its residue and its rewritten content are
@@ -237,33 +239,46 @@ def find_redexes(rules, mt: Pattern, match_cap: int = DEFAULT_MATCH_CAP, *,
     the same ``rules``.  The root is never skipped.  Without ``spent``, a
     fresh set serves this scan.
     """
-    mt = normalize(mt)
-    found = _discover(rules, mt, _Budget(match_cap),
-                      set() if spent is None else spent)
+    return [lbl for lbl, _ in _matched_redexes(
+        rules, normalize(mt), match_cap, label_filter, first,
+        set() if spent is None else spent)]
+
+
+def _matched_redexes(rules, mt: Pattern, match_cap: int, label_filter,
+                     first: bool, spent) -> list:
+    """:func:`find_redexes` of the normal form ``mt``, each label paired
+    with the match :func:`_rewrite` applies it by."""
+    found = _discover(rules, mt, _Budget(match_cap), spent)
     if label_filter is not None:
-        found = (lbl for lbl in found if label_filter(mt, lbl))
+        found = (hit for hit in found if label_filter(mt, hit[0]))
     return list(islice(found, 1) if first else found)
 
 
 def _discover(rules, mt: Pattern, budget: _Budget, spent):
-    """Generate the labels of :func:`find_redexes` in order, each once."""
+    """Generate the ``(label, match)`` pairs of :func:`_matched_redexes` in
+    order, each label once, with the first match that gave it."""
     seen: set = set()
     for site_path, loop in compartment_sites(mt):
         if loop in spent:
             continue
         empty = True
-        for lbl in _site_labels(rules, mt, site_path, loop, budget):
+        for hit in _site_labels(rules, mt, site_path, loop, budget):
             empty = False
-            if lbl not in seen:
-                seen.add(lbl)
-                yield lbl
+            if hit[0] not in seen:
+                seen.add(hit[0])
+                yield hit
         if empty and loop is not None:
             spent.add(loop)
 
 
 def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
                  budget: _Budget):
-    """The labels at one site of ``mt``; ``loop`` encloses it (None at root)."""
+    """The labels at one site of ``mt``; ``loop`` encloses it (None at root).
+
+    Each comes with its match ``(inst, members, used, held, crossed)``: the
+    binding, the site's members, the indices of the matched material, and
+    ``held`` and ``crossed`` as :func:`_candidates` gives them.
+    """
     members = members_of(mt if loop is None else loop.content)
     unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
     for schema, rule, path, held, crossed in _candidates(
@@ -273,9 +288,10 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
             rule.lhs_mem, crossed.membrane, {}, budget))
         for m_inst in m_insts:
             for inst, used in _hits(rule, members, pool, m_inst, budget):
-                yield ReductionLabel(
+                yield (ReductionLabel(
                     schema, rule, path, _binding_items(inst),
-                    _residue(schema, members, {*held, *used}, crossed))
+                    _residue(schema, members, {*held, *used}, crossed)),
+                    (inst, members, used, held, crossed))
 
 
 def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
@@ -346,12 +362,21 @@ def _residue(schema: str, members: tuple, consumed: set,
 def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     """Apply one label, enforcing the freeze discipline; raises on staleness.
 
-    Of the candidates :func:`_candidates` gives for the label's schema and
-    rule at its :func:`label_site`, the first whose crossed membrane fits,
-    whose other unmarked members hold the instantiated lhs (first fit) and
-    whose residue is the stored one is rewritten; else the
+    The label is located from itself alone, as replay needs: of the
+    candidates :func:`_candidates` gives for its schema and rule at its
+    :func:`label_site`, the first whose crossed membrane fits, whose other
+    unmarked members hold the instantiated lhs (first fit) and whose
+    residue is the stored one is rewritten by :func:`_rewrite`, the body
+    :func:`run` applies its own matches with; else the
     :class:`StaleLabelError` names the furthest check reached.
     """
+    spine, match = _locate(mt, label)
+    return _rewrite(spine, label, *match)
+
+
+def _locate(mt: Pattern, label: ReductionLabel):
+    """``(spine, match)`` for :func:`_rewrite` to apply ``label`` to ``mt``
+    by, found as :func:`apply_label` says."""
     schema, rule = label.schema, label.rule
     if SCHEMAS.get(schema) is not type(rule):
         raise StaleLabelError(
@@ -375,18 +400,27 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
         if not got:
             reached = max(reached, 2)
             continue
-        taken = set(got[0])
-        if _residue(schema, members, taken.union(held), crossed) == label.residue:
-            break
+        used = got[0]
+        if _residue(schema, members, {*held, *used}, crossed) == label.residue:
+            return spine, (inst, members, used, held, crossed)
         reached = 3
-    else:
-        raise StaleLabelError(_STALE[reached])
+    raise StaleLabelError(_STALE[reached])
+
+
+def _rewrite(spine: list, label: ReductionLabel, inst: dict, members: tuple,
+             used: tuple, held: tuple, crossed) -> Pattern:
+    """The normal form ``label`` rewrites its term to, given its match:
+    ``spine`` runs from the root along the label's path (or further), and
+    ``inst``, ``members``, ``used``, ``held`` and ``crossed`` are as
+    :func:`_site_labels` gives them."""
+    rule = label.rule
+    taken = set(used)
     produced = Frozen(substitute(rule.rhs, inst))
-    if schema == SCHEMA_LR_OUT:
+    if label.schema == SCHEMA_LR_OUT:
         # the produced material leaves across the crossed membrane
         new = splice((), (), (produced, _crossed(
             rule, inst, splice(members, taken, ()))))
-    elif schema == SCHEMA_LR_IN:
+    elif label.schema == SCHEMA_LR_IN:
         # the produced material enters the target membrane
         content = splice(members_of(crossed.content), (), (produced,))
         new = splice(members, taken.union(held[1:]),
@@ -437,11 +471,13 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
 
     Before each application the term is scanned again.  ``single`` and
     ``maximal`` scans stop at the first admitted label, the one they apply;
-    ``random-k`` scans list every admitted label to draw from.  The run
-    keeps one memo of spent compartments: membrane nodes whose content
-    yielded no label when fully scanned, which every later scan of the run
-    skips (see :func:`find_redexes`).  The memo holds its nodes weakly, so
-    it never keeps a term of an earlier step alive.
+    ``random-k`` scans list every admitted label to draw from.  A label is
+    rewritten where its scan matched it, without the lookup
+    :func:`apply_label` makes.  The run keeps one memo of spent
+    compartments: membrane nodes whose content yielded no label when fully
+    scanned, which every later scan of the run skips (see
+    :func:`find_redexes`).  The memo holds its nodes weakly, so it never
+    keeps a term of an earlier step alive.
     """
     _check_strategy(strategy, k)
     initial = normalize(term)
@@ -452,9 +488,8 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     spent = weakref.WeakSet()
 
     def redexes(mt):
-        return find_redexes(rules, mt, match_cap=match_cap,
-                            label_filter=label_filter, first=first,
-                            spent=spent)
+        return _matched_redexes(rules, mt, match_cap, label_filter, first,
+                                spent)
 
     cur = initial
     rounds = []
@@ -487,14 +522,14 @@ def _one_round(mt, redexes, strategy, rng, k, step_cap):
             break
         if len(applied) >= step_cap:
             raise StepCapError(step_cap)
-        labels = redexes(mt)
-        if not labels:
+        hits = redexes(mt)
+        if not hits:
             break
         if strategy == "random-k":
-            lbl = labels[rng.randrange(len(labels))]
+            lbl, match = hits[rng.randrange(len(hits))]
         else:
-            lbl = labels[0]
-        mt = apply_label(mt, lbl)
+            lbl, match = hits[0]
+        mt = _rewrite(_spine(mt, lbl.path), lbl, *match)
         applied.append(lbl)
     return mt, tuple(applied)
 

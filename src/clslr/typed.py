@@ -79,11 +79,28 @@ def typed_run(term: Pattern, rules, classif: Classification, *, steps: int = 1,
     """Like :func:`clslr.engine.run` with untypable labels filtered out.
 
     The filter consults the current term, so it is re-evaluated as the
-    term evolves within a parallel step.
+    term evolves within a parallel step.  A label's verdict depends only on
+    its schema, its rule, the basis :func:`infer_basis` gives its binding
+    and the membrane of the loop that grants it (none at the root or for a
+    global rule), so the run asks :func:`typed_ok` once per such key.  A
+    classification miss raises every time and is never kept.
     """
+    verdicts: dict = {}
+
+    def admitted(mt, label):
+        basis = infer_basis(label.binding_dict(), classif)
+        loop = (None if label.schema == SCHEMA_GRT
+                else label_site(mt, label.schema, label.path)[2])
+        key = (label.schema, label.rule, tuple(basis.items()),
+               None if loop is None else loop.membrane)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = typed_ok(mt, label, classif)
+        return verdict
+
     return run(term, rules, steps=steps, strategy=strategy, seed=seed,
                k=k, match_cap=match_cap, step_cap=step_cap,
-               label_filter=partial(typed_ok, classif=classif))
+               label_filter=admitted)
 
 
 def subject_reduction_check(before: Pattern, after: Pattern,
