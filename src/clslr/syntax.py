@@ -25,7 +25,13 @@ import json
 import re
 from typing import NamedTuple
 
-from .engine import ReductionLabel, Trace, _binding_items, _check_strategy
+from .engine import (
+    SCHEMAS,
+    ReductionLabel,
+    Trace,
+    _binding_items,
+    _check_strategy,
+)
 from .terms import (
     Element,
     ElemVar,
@@ -430,27 +436,47 @@ def _sigma_to_json(label: ReductionLabel) -> dict:
     return out
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def trace_to_json(trace: Trace) -> str:
+    """The trace as a JSON document.
+
+    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``
+    of the document :func:`trace_from_json` reads, but is written here with
+    the C string encoder instead of through ``json``'s indenting encoder,
+    which is pure Python.
+    """
     steps = []
     for rnum, rnd in enumerate(trace.rounds, 1):
         for lbl in rnd:
-            steps.append({
-                "round": rnum,
-                "schema": lbl.schema,
-                "rule": rule_text(lbl.rule),
-                "path": list(lbl.path),
-                "sigma": _sigma_to_json(lbl),
-                "residue": render(lbl.residue),
-            })
-    doc = {
-        "seed": trace.seed,
-        "strategy": trace.strategy,
-        "k": trace.k,
-        "initial": render(trace.initial),
-        "steps": steps,
-        "final": render(trace.final),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            path = [_quote(s) if isinstance(s, str) else str(s)
+                    for s in lbl.path]
+            sigma = [f"{_quote(var)}: {_quote(text)}"
+                     for var, text in sorted(_sigma_to_json(lbl).items())]
+            steps.append(
+                f'{{\n      "path": {_block(path, 8)},'
+                f'\n      "residue": {_quote(render(lbl.residue))},'
+                f'\n      "round": {rnum},'
+                f'\n      "rule": {_quote(rule_text(lbl.rule))},'
+                f'\n      "schema": {_quote(lbl.schema)},'
+                f'\n      "sigma": {_block(sigma, 8, "{}")}\n    }}')
+    return (f'{{\n  "final": {_quote(render(trace.final))},'
+            f'\n  "initial": {_quote(render(trace.initial))},'
+            f'\n  "k": {json.dumps(trace.k)},'
+            f'\n  "seed": {json.dumps(trace.seed)},'
+            f'\n  "steps": {_block(steps, 4)},'
+            f'\n  "strategy": {_quote(trace.strategy)}\n}}\n')
+
+
+def _block(items: list, indent: int, brackets: str = "[]") -> str:
+    """A JSON array (or, with ``brackets`` ``"{}"``, object) of the encoded
+    ``items``, one a line at ``indent`` spaces, as ``json.dumps`` indents."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    return (f"{brackets[0]}{pad}{(',' + pad).join(items)}"
+            f"\n{' ' * (indent - 2)}{brackets[1]}")
 
 
 _OPEN = frozenset("([{")
@@ -481,7 +507,7 @@ def _local_rule_from_text(text: str) -> LocalRule:
 def _sigma_from_json(sigma: dict, parsed, read_term) -> dict:
     inst = {}
     for key, value in sigma.items():
-        kind, name = key[0], key[1:]
+        kind, name = key[:1], key[1:]
         if kind == "?":
             atoms = parsed(parse_seq_text, value)
             if len(atoms) != 1 or not isinstance(atoms[0], Element):
@@ -517,6 +543,13 @@ def _int(value, what: str) -> int:
     """``value`` if it is an integer (a bool or a float is not)."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    """``value`` if it is a JSON array."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be an array")
     return value
 
 
@@ -567,14 +600,16 @@ def _trace_from_doc(doc: dict) -> Trace:
         return normalize(Par(tuple(parts)))
 
     rounds: list = []
-    for step in doc["steps"]:
+    for step in _array(doc["steps"], "steps"):
         schema = step["schema"]
+        if not isinstance(schema, str) or schema not in SCHEMAS:
+            raise ValueError(f"schema must be one of {', '.join(SCHEMAS)}")
         label = ReductionLabel(
             schema=schema,
             rule=parsed(parse_global_text if schema == "GRT"
                         else _local_rule_from_text, step["rule"]),
             path=tuple(s if s == "loop" else _int(s, "path step")
-                       for s in step["path"]),
+                       for s in _array(step["path"], "path")),
             binding=_binding_items(
                 _sigma_from_json(step["sigma"], parsed, read_term)),
             residue=parsed(read_term, step["residue"]),

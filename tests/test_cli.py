@@ -1,14 +1,19 @@
 """Command line behaviour: exit codes, diagnostics, trace files."""
 
+import copy
+import functools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+
+from hypothesis import given, settings, strategies as st
 
 import clslr
 from clslr import bundled_model
@@ -340,6 +345,83 @@ def test_nesting_too_deep_for_the_interpreter_is_a_diagnostic(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"{model}:1:1: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+REPRO = {"seed": 0, "strategy": "maximal", "k": None,
+         "initial": "a | { a => b }", "final": "b | { a => b }",
+         "steps": [{"round": 1, "schema": "LR", "rule": "{ a => b }",
+                    "path": [], "sigma": {}, "residue": "eps"}]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("schema", []), ("schema", {}), ("schema", "XX"), ("schema", 3),
+    ("path", {}), ("steps", {})])
+def test_replay_reads_only_known_schemas_and_arrays(
+        tmp_path, capsys, field, value):
+    tr = tmp_path / "out.trace.json"
+    doc = copy.deepcopy(REPRO)
+    tr.write_text(json.dumps(doc))
+    assert main(["replay", str(tr)]) == 0
+    (doc if field == "steps" else doc["steps"][0])[field] = value
+    tr.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(tr)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tr}:1:1: malformed trace document: "), err
+
+
+@functools.cache
+def short_golden_doc() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        tr = Path(tmp) / "out.trace.json"
+        assert main(["run", MODEL, "--lambda", LAMBDA, "--typed",
+                     "--steps", "2", "--format", "json",
+                     "--out", str(tr)]) == 0
+        return json.loads(tr.read_text())
+
+
+def json_slots(doc) -> list:
+    """``(container, key)`` for every value nested in ``doc``."""
+    slots = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        slots.append((doc, key))
+        if isinstance(value, (dict, list)):
+            slots += json_slots(value)
+    return slots
+
+
+DROP = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(
+        ["GRT", "LR", "LR-Out", "LR-In", "loop", "eps", "random-k"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_mutated_trace_replays_or_is_a_diagnostic(data):
+    original = short_golden_doc()
+    texts = sorted({c[k] for c, k in json_slots(original)
+                    if isinstance(c[k], str)})
+    doc = copy.deepcopy(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = json_slots(doc)
+        if not slots:
+            break
+        where, key = data.draw(st.sampled_from(slots))
+        value = data.draw(st.just(DROP) | JSON_VALUES | st.sampled_from(texts))
+        if value is DROP:
+            del where[key]
+        else:
+            where[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tr = Path(tmp) / "mutant.trace.json"
+        tr.write_text(json.dumps(doc))
+        assert main(["replay", str(tr)]) in (0, 1)
 
 
 def toml_reader():
