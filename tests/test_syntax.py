@@ -385,6 +385,41 @@ def test_trace_json_rejects_garbage():
         trace_from_json("{\"steps\": 7}")
 
 
+def dumped(tr) -> str:
+    """``tr`` as ``json``'s indenting encoder writes the trace document."""
+    doc = {
+        "seed": tr.seed, "strategy": tr.strategy, "k": tr.k,
+        "initial": render(tr.initial), "final": render(tr.final),
+        "steps": [{"round": rnum, "schema": lbl.schema,
+                   "rule": rule_text(lbl.rule), "path": list(lbl.path),
+                   "sigma": syntax._sigma_to_json(lbl),
+                   "residue": render(lbl.residue)}
+                  for rnum, rnd in enumerate(tr.rounds, 1) for lbl in rnd],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_trace_writer_equals_json_dumps_byte_for_byte():
+    no_steps = run(P("a | b"), [], steps=3)
+    assert no_steps.rounds == ()
+    at_root = run(P("a | { a => b }"), [])
+    assert [(lbl.path, lbl.binding) for lbl in at_root.labels] == [((), ())]
+    bound = run(P("a.b | c | { ?x.~y | $Z => ?x.~y | $Z }"), [])
+    sigma = syntax._sigma_to_json(bound.labels[0])
+    assert list(sigma) == ["?x", "~y", "$Z"]  # binding order
+    drawn = run(P("a | a | b | { a => c } | { b => d }"), [],
+                strategy="random-k", k=2, seed=2**64 + 7, steps=2)
+    assert drawn.labels and drawn.seed > 2**64
+    _, fixture = trace_fixture()
+    for tr in (no_steps, at_root, bound, drawn, fixture, golden_trace(8)):
+        assert trace_to_json(tr) == dumped(tr)
+    text = trace_to_json(bound)
+    assert text.index('"$Z"') < text.index('"?x"') < text.index('"~y"')
+    assert '"path": [],' in trace_to_json(at_root)
+    assert '"sigma": {}' in trace_to_json(at_root)
+    assert '"steps": [],' in trace_to_json(no_steps)
+
+
 def golden_trace(steps=30):
     model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
     lam = parse_model(

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,16 @@ from clslr.syntax import (
     trace_to_json,
 )
 from clslr.terms import erase, normalize
-from clslr.typecheck import Classification, UnknownElementError, pattern_type
+from clslr.typecheck import (
+    Classification,
+    TypingError,
+    UnknownElementError,
+    pattern_type,
+)
 from clslr.typed import (
     subject_reduction_check,
     typed_find_redexes,
+    typed_ok,
     typed_run,
 )
 
@@ -322,3 +329,35 @@ def test_golden_trace_bytes_are_pinned(steps):
     data = trace_to_json(trace).encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == \
         GOLDEN_TRACE_SHA[steps]
+
+
+def test_typed_run_judges_each_verdict_key_once(monkeypatch):
+    # the same rule under the same basis (?x -> a) is admitted where the
+    # membrane grants its head {r} and rejected where it does not
+    t = P("loop(good)[ a | { ?x => ?x | ?x } ] | "
+          "loop(bad)[ a | { ?x => ?x | ?x } ]")
+    classif = Classification({"a": F(), "good": F("r"), "bad": F()})
+    want = run(t, [], steps=3, label_filter=partial(typed_ok, classif=classif))
+    calls = []
+
+    def counted(mt, label, classif):
+        calls.append(label)
+        return typed_ok(mt, label, classif)
+
+    monkeypatch.setattr(clslr.typed, "typed_ok", counted)
+    got = typed_run(t, [], classif, steps=3)
+    assert got == want
+    assert len(got.labels) == 7  # 1, 2 and 4 copies of a in good
+    assert {lbl.path for lbl in got.labels} == {(1, "loop")}
+    assert len(calls) == 2  # once admitted in good, once rejected in bad
+
+
+@pytest.mark.parametrize("term", [
+    "loop(zz)[ { a ^ zz => a ^ zz } | a ]",  # the membrane: in typed_ok
+    "loop(m)[ { ?x => ?x } | zz ]",  # the image: in infer_basis
+])
+def test_typed_run_raises_on_a_strict_classification_miss(term):
+    classif = Classification({"a": F(), "m": F()})
+    with pytest.raises(TypingError) as err:
+        typed_run(P(term), [], classif, steps=2)
+    assert err.value.judgment == "classification"
