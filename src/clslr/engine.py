@@ -370,13 +370,6 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     :func:`run` applies its own matches with; else the
     :class:`StaleLabelError` names the furthest check reached.
     """
-    spine, match = _locate(mt, label)
-    return _rewrite(spine, label, *match)
-
-
-def _locate(mt: Pattern, label: ReductionLabel):
-    """``(spine, match)`` for :func:`_rewrite` to apply ``label`` to ``mt``
-    by, found as :func:`apply_label` says."""
     schema, rule = label.schema, label.rule
     if SCHEMAS.get(schema) is not type(rule):
         raise StaleLabelError(
@@ -402,7 +395,7 @@ def _locate(mt: Pattern, label: ReductionLabel):
             continue
         used = got[0]
         if _residue(schema, members, {*held, *used}, crossed) == label.residue:
-            return spine, (inst, members, used, held, crossed)
+            return _rewrite(spine, label, inst, members, used, held, crossed)
         reached = 3
     raise StaleLabelError(_STALE[reached])
 
