@@ -10,7 +10,10 @@ three shapes: plain ``{L => L}``, outbound ``{L ^ S => L ^ S}`` and inbound
 
 Every node is hash-consed: constructing a node whose class and field values
 equal those of a live node returns that node, however the arguments were
-passed.  Node ``==`` is therefore identity and ``hash`` costs O(1).  The
+passed.  Each node class has a generated ``__new__`` whose parameters are
+its fields, so Python binds positional, keyword and defaulted calls alike;
+the body looks the key up and builds a node only on a miss.  Node ``==`` is
+therefore identity and ``hash`` costs O(1).  The
 intern table is a plain dict from ``(class, *field values)`` to a weak
 reference to the node, so a node lives exactly as long as something outside
 the table refers to it.  The reference carries its key and, when its node
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import weakref
 from bisect import insort
-from functools import cache
 
 
 # --------------------------------------------------------------------------
@@ -67,38 +69,22 @@ def _drop(ref: _Ref, table: dict = _INTERNED) -> None:
         del table[ref.key]
 
 
-class _Interned(type):
-    """Metaclass whose constructor call returns the interned node."""
-
-    def __call__(cls, *args, **kwargs):
-        if kwargs or len(args) != cls._arity:
-            bound = _signature(cls).bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        key = (cls, *args)
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = super().__call__(*args)
-        ref = _Ref(node, _drop)
-        ref.key = key
-        _INTERNED[key] = ref
-        return node
+def _build(key: tuple):
+    """The node of a missed ``key``: a new instance of ``key[0]`` with the
+    rest of the key as its fields, entered in the intern table.  Fields are
+    set in order, so every node of a class shares one key layout for its
+    instance dict."""
+    cls = key[0]
+    node = object.__new__(cls)
+    for name, value in zip(cls._names, key[1:]):
+        object.__setattr__(node, name, value)
+    ref = _Ref(node, _drop)
+    ref.key = key
+    _INTERNED[key] = ref
+    return node
 
 
-@cache
-def _signature(cls):
-    """The field parameters of ``cls``, for binding a keyword or defaulted
-    call; ``inspect`` loads only when such a call is first made."""
-    from inspect import Parameter, Signature
-    return Signature([Parameter(n, Parameter.POSITIONAL_OR_KEYWORD,
-                                default=vars(cls).get(n, Parameter.empty))
-                      for n in cls._names])
-
-
-class _Node(metaclass=_Interned):
+class _Node:
     """Base class of every interned node; :func:`_node` completes each one."""
 
     __slots__ = ()
@@ -118,19 +104,27 @@ class _Node(metaclass=_Interned):
 
 
 def _node(cls):
-    """Make ``cls`` an immutable node class with identity equality.
+    """Make ``cls`` an immutable, interned node class with identity equality.
 
-    Its fields are its annotated names, in order.  Its ``__init__`` is
-    written out per class, as ``collections.namedtuple`` does, so each field
-    is one ``object.__setattr__`` call and every node of the class shares
-    one key layout for its instance dict.
+    Its fields are its annotated names, in order; a class attribute of the
+    same name is the field's default.  Its ``__new__`` is written out per
+    class, as ``collections.namedtuple`` does, so Python itself binds
+    positional, keyword and defaulted calls.  The body only builds the key
+    ``(cls, *fields)`` and returns the live node it names, or else the one
+    :func:`_build` makes.
     """
     cls._names = names = tuple(vars(cls).get("__annotations__", ()))
-    cls._arity = len(names)
-    body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
-    namespace = {"_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
-    cls.__init__ = namespace["__init__"]
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in vars(cls) else n
+                       for n in names)
+    namespace = {"_get": _INTERNED.get, "_build": _build,
+                 "_defaults": vars(cls)}
+    exec(f"def __new__(_cls, {params}):\n"
+         f"    _key = ({', '.join(('_cls', *names))},)\n"
+         "    _ref = _get(_key)\n"
+         "    if _ref is None or (_hit := _ref()) is None:\n"
+         "        _hit = _build(_key)\n"
+         "    return _hit\n", namespace)
+    cls.__new__ = staticmethod(namespace["__new__"])
     return cls
 
 

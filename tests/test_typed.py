@@ -201,13 +201,17 @@ COLD_START = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from pathlib import Path
-from clslr import (Classification, bundled_model, parse_model, trace_from_json,
-                   trace_to_json, typed_run, verify_decomposition)
+from clslr import (EPS, Classification, Element, Loop, bundled_model,
+                   parse_model, trace_from_json, trace_to_json, typed_run,
+                   verify_decomposition)
 model = parse_model(Path(bundled_model("mitochondria.clslr")).read_text())
 lam = parse_model(Path(bundled_model("mitochondria.lambda.clslr")).read_text())
 trace = typed_run(model.term, model.globals,
                   Classification(dict(lam.elements)), steps=30)
 assert verify_decomposition(trace_from_json(trace_to_json(trace)))
+# keyword and defaulted constructor calls bind without inspect too
+assert Element(name="a") is Element("a")
+assert Loop((Element("m"),), EPS) is Loop((Element("m"),), EPS, False)
 print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
 
