@@ -275,8 +275,9 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
                  budget: _Budget):
     """The labels at one site of ``mt``; ``loop`` encloses it (None at root).
 
-    Each comes with its match ``(inst, members, used, held, crossed)``: the
-    binding, the site's members, the indices of the matched material, and
+    Each comes with its match ``(rhs, rhs_mem, members, used, held,
+    crossed)``: the instantiated right side as :func:`_instantiate` gives
+    it, the site's members, the indices of the matched material, and
     ``held`` and ``crossed`` as :func:`_candidates` gives them.
     """
     members = members_of(mt if loop is None else loop.content)
@@ -287,11 +288,12 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
         m_insts = (({},) if crossed is None else match_seq_rotations(
             rule.lhs_mem, crossed.membrane, {}, budget))
         for m_inst in m_insts:
-            for inst, used in _hits(rule, members, pool, m_inst, budget):
+            for inst, used, rhs, rhs_mem in _hits(rule, members, pool,
+                                                  m_inst, budget):
                 yield (ReductionLabel(
                     schema, rule, path, _binding_items(inst),
                     _residue(schema, members, {*held, *used}, crossed)),
-                    (inst, members, used, held, crossed))
+                    (rhs, rhs_mem, members, used, held, crossed))
 
 
 def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
@@ -321,24 +323,28 @@ def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
 
 
 def _hits(rule, members: tuple, pool: tuple, m_inst: dict, budget: _Budget):
-    """``(inst, used)`` for each match of ``rule``'s lhs that uses material
-    and binds every variable of the rhs."""
+    """``(inst, used, rhs, rhs_mem)`` for each match of ``rule``'s lhs that
+    uses material and binds every variable of the right side, which
+    :func:`_instantiate` gives as ``rhs, rhs_mem``."""
     lhs = members_of(normalize(rule.lhs))
     for inst, used in match_parts(lhs, members, pool, m_inst, budget,
                                   require_all=False):
-        if used and _rhs_ok(rule, inst):
-            yield inst, used
+        if not used:
+            continue
+        try:
+            rhs, rhs_mem = _instantiate(rule, inst)
+        except UnboundVariableError:
+            # a match never invents bindings; skip redexes whose rhs needs one
+            continue
+        yield inst, used, rhs, rhs_mem
 
 
-def _rhs_ok(rule, inst: dict) -> bool:
-    # a match never invents bindings; skip redexes whose rhs needs one
-    try:
-        substitute(rule.rhs, inst)
-        if isinstance(rule, (OutRule, InRule)):
-            subst_seq(rule.rhs_mem, inst)
-    except UnboundVariableError:
-        return False
-    return True
+def _instantiate(rule, inst: dict) -> tuple:
+    """``(rhs, rhs_mem)``: ``rule``'s right side under ``inst`` and, for a
+    crossing rule, its right membrane at its least rotation (else None)."""
+    rhs_mem = (min_rotation(subst_seq(rule.rhs_mem, inst))
+               if isinstance(rule, (OutRule, InRule)) else None)
+    return substitute(rule.rhs, inst), rhs_mem
 
 
 def _residue(schema: str, members: tuple, consumed: set,
@@ -395,29 +401,29 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
             continue
         used = got[0]
         if _residue(schema, members, {*held, *used}, crossed) == label.residue:
-            return _rewrite(spine, label, inst, members, used, held, crossed)
+            return _rewrite(spine, label, *_instantiate(rule, inst),
+                            members, used, held, crossed)
         reached = 3
     raise StaleLabelError(_STALE[reached])
 
 
-def _rewrite(spine: list, label: ReductionLabel, inst: dict, members: tuple,
-             used: tuple, held: tuple, crossed) -> Pattern:
+def _rewrite(spine: list, label: ReductionLabel, rhs: Pattern, rhs_mem,
+             members: tuple, used: tuple, held: tuple, crossed) -> Pattern:
     """The normal form ``label`` rewrites its term to, given its match:
     ``spine`` runs from the root along the label's path (or further), and
-    ``inst``, ``members``, ``used``, ``held`` and ``crossed`` are as
-    :func:`_site_labels` gives them."""
-    rule = label.rule
+    the rest is as :func:`_site_labels` gives it.  A crossed membrane
+    becomes ``rhs_mem``, frozen for the rest of the step."""
     taken = set(used)
-    produced = Frozen(substitute(rule.rhs, inst))
+    produced = Frozen(rhs)
     if label.schema == SCHEMA_LR_OUT:
         # the produced material leaves across the crossed membrane
-        new = splice((), (), (produced, _crossed(
-            rule, inst, splice(members, taken, ()))))
+        new = splice((), (), (produced, Loop(
+            rhs_mem, splice(members, taken, ()), True)))
     elif label.schema == SCHEMA_LR_IN:
         # the produced material enters the target membrane
         content = splice(members_of(crossed.content), (), (produced,))
         new = splice(members, taken.union(held[1:]),
-                     (_crossed(rule, inst, content),))
+                     (Loop(rhs_mem, content, True),))
     else:
         new = splice(members, taken, (produced,))
     return normalize(_graft(spine[:len(label.path) + 1], label.path, new))
@@ -439,11 +445,6 @@ def label_site(mt: Pattern, schema: str, path: tuple):
     spine = _spine(mt, site_path)
     loop = spine[-2] if site_path[-1:] == ("loop",) else None
     return spine, site_path, loop, members_of(spine[-1])
-
-
-def _crossed(rule, inst: dict, content: Pattern) -> Loop:
-    """The membrane a crossing rule rewrote, frozen for the rest of the step."""
-    return Loop(min_rotation(subst_seq(rule.rhs_mem, inst)), content, True)
 
 
 # --------------------------------------------------------------------------
