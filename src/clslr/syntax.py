@@ -4,7 +4,7 @@ Model files hold statements, each optionally terminated by ``;``:
 
 * ``element NAME : { letters }`` classifies an element with feature letters
 * ``global P => P`` declares a rewrite rule applied from the outside
-* ``option NAME [VALUE]`` carries a tool setting
+* ``option NAME [VALUE]`` carries a tool setting; VALUE is on NAME's line
 * a bare term gives the model its initial state (at most one)
 
 Terms use ``|`` for parallel composition, ``.`` for sequencing, ``eps``
@@ -355,8 +355,9 @@ class _Parser:
     def parse_option_decl(self, model: ModelFile):
         self.expect("option")
         name = self.expect_ident("an option name")
-        value = ""
-        if self.peek().kind == "ident":
+        value = ""  # a value sits on the option's own line
+        tok = self.peek()
+        if tok.kind == "ident" and tok.line == name.line:
             value = self.next().text
         self.eat(";")
         model.options[name.text] = value

@@ -304,6 +304,14 @@ def test_parse_model_fields():
     assert classif.lookup("b") == frozenset("d")
 
 
+def test_valueless_option_leaves_the_next_line_alone():
+    m = parse_model("option verbose\na | b")
+    assert m.options == {"verbose": ""}
+    assert m.term is parse_model("a | b").term
+    m = parse_model("option verbose ;\noption match_cap 5000 ;\na")
+    assert m.options == {"verbose": "", "match_cap": "5000"}
+
+
 def test_model_term_must_be_ground():
     with pytest.raises(ModelSyntaxError) as exc:
         parse_model("a | ?x")
