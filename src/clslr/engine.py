@@ -376,11 +376,18 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     :func:`run` applies its own matches with; else the
     :class:`StaleLabelError` names the furthest check reached.
     """
+    spine, match = _lookup(normalize(mt), label)
+    return _rewrite(spine, label, *match)
+
+
+def _lookup(mt: Pattern, label: ReductionLabel) -> tuple:
+    """``(spine, match)`` of the candidate :func:`apply_label` rewrites in
+    the normal form ``mt``: the spine along the label's site and the match
+    as :func:`_site_labels` gives it; raises :class:`StaleLabelError`."""
     schema, rule = label.schema, label.rule
     if SCHEMAS.get(schema) is not type(rule):
         raise StaleLabelError(
             f"schema {schema!r} does not apply a {type(rule).__name__}")
-    mt = normalize(mt)
     inst = label.binding_dict()
     spine, site_path, loop, members = label_site(mt, schema, label.path)
     unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
@@ -401,8 +408,8 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
             continue
         used = got[0]
         if _residue(schema, members, {*held, *used}, crossed) == label.residue:
-            return _rewrite(spine, label, *_instantiate(rule, inst),
-                            members, used, held, crossed)
+            return spine, (*_instantiate(rule, inst), members, used, held,
+                           crossed)
         reached = 3
     raise StaleLabelError(_STALE[reached])
 
@@ -552,16 +559,18 @@ def verify_decomposition(trace: Trace) -> bool:
 
 
 def _replay(trace: Trace, strict: bool) -> Pattern:
-    """The term the labels reach, round by round.  With ``strict`` a label
-    whose instantiated rhs carries a mark is stale: as a path cannot enter a
-    ``Frozen`` node and atoms carry no marks, only that rhs can nest marks
-    or mark a rule body."""
+    """The term the labels reach, round by round, each label applied as
+    :func:`apply_label` does.  With ``strict`` a label whose instantiated
+    rhs carries a mark is stale: as a path cannot enter a ``Frozen`` node
+    and atoms carry no marks, only that rhs can nest marks or mark a rule
+    body."""
     cur = normalize(trace.initial)
     for rnd in trace.rounds:
         mt = cur
         for lbl in rnd:
-            if strict and has_marks(substitute(lbl.rule.rhs, lbl.binding_dict())):
+            spine, match = _lookup(mt, lbl)
+            if strict and has_marks(match[0]):
                 raise StaleLabelError("marks nest or occur inside a rule body")
-            mt = apply_label(mt, lbl)
+            mt = _rewrite(spine, lbl, *match)
         cur = normalize(erase(mt))
     return cur

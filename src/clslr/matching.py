@@ -12,13 +12,14 @@ first, member candidates by ascending index, subset candidates in
 lexicographic index order) and the result list is deduplicated up to
 normalized images.
 
-The number of candidate branch points explored is capped; exceeding the cap
-raises :class:`MatchCapError` rather than silently truncating.
+The number of candidate branch points is capped; exceeding the cap raises
+:class:`MatchCapError` rather than silently truncating.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .terms import (
     EPS,
@@ -247,8 +248,12 @@ def match_parts(parts: list[Pattern], members: tuple[Pattern, ...],
 
     ``members`` must be the members of a normalized pattern.  The image of
     an unbound term variable is then built in canonical form from its index
-    combination (:func:`~clslr.terms.sub_bag`), with no re-normalization;
-    the budget is still spent once per combination tried, repeats included.
+    combination (:func:`~clslr.terms.sub_bag`), with no re-normalization.
+    When the variable is repeated ``k`` times in a row, as in a normalized
+    ``$X | $X``, only combinations whose image the ``k - 1`` bound copies
+    can also take are built (:func:`_fitting_combinations`).  The budget is
+    still spent once per index combination, repeats and skipped ones
+    included, and the enumeration stops at the same point when it runs out.
     """
     concrete = [q for q in parts if not isinstance(q, TermVar)]
     tvars = [q for q in parts if isinstance(q, TermVar)]
@@ -275,9 +280,15 @@ def _parts(ordered: list[Pattern], i: int, members: tuple[Pattern, ...],
                 yield from _parts(ordered, i + 1, members, rest, cur, used + taken,
                                   budget, require_all)
             return
+        # the k - 1 occurrences right after this one will consume its image
+        k = 1
+        while i + k < len(ordered) and ordered[i + k] is part:
+            k += 1
         seen_values: set = set()
         for r in range(len(remaining) + 1):
-            for combo in itertools.combinations(remaining, r):
+            combos = (itertools.combinations(remaining, r) if k == 1 else
+                      _fitting_combinations(members, remaining, r, k, budget))
+            for combo in combos:
                 budget.spend()
                 image = sub_bag(members, combo)
                 if image in seen_values:
@@ -302,6 +313,56 @@ def _parts(ordered: list[Pattern], i: int, members: tuple[Pattern, ...],
     for cur2 in _match(part, EPS, cur, budget):
         yield from _parts(ordered, i + 1, members, remaining, cur2, used,
                           budget, require_all)
+
+
+def _fitting_combinations(members: tuple[Pattern, ...],
+                          remaining: tuple[int, ...], r: int, k: int,
+                          budget: _Budget):
+    """The ``r``-combinations of ``remaining`` whose image ``k`` occurrences
+    of one term variable can all take: in ``itertools.combinations`` order,
+    those that hold at most ``avail(v) // k`` copies of each member value
+    ``v``, ``avail(v)`` its copies in ``remaining``.
+
+    Every other combination is spent on ``budget`` without being built: the
+    ``comb(n - j - 1, r - d - 1)`` that extend a prefix of ``d`` positions by
+    a position ``j`` whose value is full are charged at once, where the first
+    of them would have been tried.
+    """
+    if r == 0:
+        yield ()
+        return
+    n = len(remaining)
+    values = [members[j] for j in remaining]
+    room: dict = {}
+    for v in values:
+        room[v] = room.get(v, 0) + 1
+    for v in room:
+        room[v] //= k
+    chosen: list[int] = []  # positions into ``remaining``, ascending
+    j = 0  # the next position to try after ``chosen``
+    while True:
+        d = len(chosen)
+        if d == r - 1:
+            # each position left that fits completes a combination
+            prefix = tuple(remaining[p] for p in chosen)
+            for j in range(j, n):
+                if room[values[j]]:
+                    yield (*prefix, remaining[j])
+                else:
+                    budget.spend()
+        elif j <= n - (r - d):
+            if room[values[j]]:
+                room[values[j]] -= 1
+                chosen.append(j)
+            else:
+                budget.spend(math.comb(n - j - 1, r - d - 1))
+            j += 1
+            continue
+        if not chosen:
+            return
+        j = chosen.pop()
+        room[values[j]] += 1
+        j += 1
 
 
 def _consume(members: tuple[Pattern, ...], remaining: tuple[int, ...],

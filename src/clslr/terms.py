@@ -29,11 +29,11 @@ congruent componentwise.  ``normalize`` maps every pattern to a canonical
 representative (flattened, members sorted, least membrane rotation); since
 that representative is interned, congruence is identity of normal forms,
 which is what ``equiv`` checks.  ``normalize``, ``canonical_text``,
-``has_marks``, ``erase`` and ``local_rule_violations`` memoise their result
-on the node itself, so a memo is freed with its node and retained memory
-follows the live terms.  ``splice`` is the one builder of parallel normal
-forms: ``normalize`` builds every ``Par`` with it, and it edits the members
-of a normal form without sorting them again.
+``has_marks``, ``is_ground``, ``erase`` and ``local_rule_violations``
+memoise their result on the node itself, so a memo is freed with its node
+and retained memory follows the live terms.  ``splice`` is the one builder
+of parallel normal forms: ``normalize`` builds every ``Par`` with it, and it
+edits the members of a normal form without sorting them again.
 
 The rewrite engine additionally tracks which material was produced within
 the current parallel step.  Such material is wrapped in ``Frozen`` marks;
@@ -176,15 +176,16 @@ def atom_text(a: Atom) -> str:
 class Pattern(_Node):
     """Base class for every pattern / term node.
 
-    The four class attributes below are the unset per-node memos of
-    :func:`normalize`, :func:`canonical_text`, :func:`has_marks` and
-    :func:`erase`.
+    The five class attributes below are the unset per-node memos of
+    :func:`normalize`, :func:`canonical_text`, :func:`has_marks`,
+    :func:`is_ground` and :func:`erase`.
     """
 
     __slots__ = ()
     _norm = None
     _text = None
     _marks = None
+    _ground = None
     _erased = None
 
     def __str__(self) -> str:
@@ -517,7 +518,14 @@ def _seq_vars(items: tuple[Atom, ...]):
 
 def is_ground(p: Pattern) -> bool:
     """True when ``p`` contains variables only inside embedded rules."""
-    return not pattern_vars(p, include_rule_bodies=False)
+    try:
+        ground = p._ground
+    except AttributeError:
+        raise TypeError(f"not a pattern: {p!r}") from None
+    if ground is None:
+        ground = p.__dict__["_ground"] = next(
+            var_occurrences(p, include_rule_bodies=False), None) is None
+    return ground
 
 
 def local_rule_violations(r: LocalRule | GlobalRule) -> tuple[str, ...]:

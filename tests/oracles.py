@@ -10,6 +10,10 @@ agreement is evidence, not tautology.
   own material and keep those whose substitution reproduces the target
 * one-step reduction: every term a single GRT, LR, LR-Out or LR-In
   application yields, built from the schemas with the brute-force matcher
+* reference enumerator for parallel parts: ``match_parts`` as it was before
+  the images of a repeated term variable were pruned by multiplicity; it
+  is a parity reference for that enumeration and its budget, so it reuses
+  the engine's matcher for every other part
 * seeded random generators for patterns, ground terms and whole models
 """
 
@@ -38,7 +42,7 @@ from clslr.terms import (
     normalize,
     pattern_vars,
 )
-from clslr.matching import substitute
+from clslr.matching import _consume, _match, substitute
 
 # --------------------------------------------------------------------------
 # congruence closure oracle
@@ -237,6 +241,66 @@ def oracle_match(p: Pattern, t: Pattern) -> set:
 def canonical_results(results) -> set:
     """Engine match results as comparable frozensets."""
     return {frozenset(inst.items()) for inst in results}
+
+
+# --------------------------------------------------------------------------
+# reference enumerator for parallel parts
+
+
+def reference_match_parts(parts, members: tuple, pool: tuple, inst: dict,
+                          budget, require_all: bool):
+    """``matching.match_parts`` with every unbound term variable's images
+    enumerated in full: each index combination of the pool, in
+    ``itertools.combinations`` order, spends one budget unit and is built,
+    whether or not the variable's later occurrences can take its image."""
+    concrete = [q for q in parts if not isinstance(q, TermVar)]
+    tvars = [q for q in parts if isinstance(q, TermVar)]
+    return _reference_parts(concrete + tvars, 0, members, tuple(pool), inst,
+                            (), budget, require_all)
+
+
+def _reference_parts(ordered, i, members, remaining, cur, used, budget,
+                     require_all):
+    if i == len(ordered):
+        if not (require_all and remaining):
+            yield cur, tuple(sorted(used))
+        return
+    part = ordered[i]
+    if isinstance(part, TermVar):
+        if part in cur:
+            got = _consume(members, remaining, _members(cur[part]))
+            if got is not None:
+                taken, rest = got
+                yield from _reference_parts(ordered, i + 1, members, rest, cur,
+                                            used + taken, budget, require_all)
+            return
+        seen_values = set()
+        for r in range(len(remaining) + 1):
+            for combo in itertools.combinations(remaining, r):
+                budget.spend()
+                image = normalize(Par(tuple(members[j] for j in combo)))
+                if image in seen_values:
+                    continue
+                seen_values.add(image)
+                rest = tuple(j for j in remaining if j not in combo)
+                yield from _reference_parts(
+                    ordered, i + 1, members, rest, {**cur, part: image},
+                    used + combo, budget, require_all)
+        return
+    seen_members = set()
+    for idx in remaining:
+        m = members[idx]
+        if m in seen_members:
+            continue
+        seen_members.add(m)
+        budget.spend()
+        rest = tuple(j for j in remaining if j != idx)
+        for cur2 in _match(part, m, cur, budget):
+            yield from _reference_parts(ordered, i + 1, members, rest, cur2,
+                                        used + (idx,), budget, require_all)
+    for cur2 in _match(part, EPS, cur, budget):
+        yield from _reference_parts(ordered, i + 1, members, remaining, cur2,
+                                    used, budget, require_all)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from clslr.engine import (
     run,
     verify_decomposition,
 )
-from clslr import bundled_model
+from clslr import bundled_model, engine
 from clslr.matching import MatchCapError
 from clslr.syntax import (
     merge_elements,
@@ -608,6 +608,23 @@ def test_lazy_discovery_equals_eager_definition():
                     assert (got.rounds, got.final) == want, (term, kw, typed)
                     runs += bool(got.rounds)
     assert runs > 1000  # the sweep must not be vacuous
+
+
+def test_verify_instantiates_each_side_of_a_label_once(monkeypatch):
+    # the lhs to locate the label, the rhs to check its marks and rewrite
+    term, rules, classif = _golden_model()
+    trace = typed_run(term, rules, classif, steps=30)
+    calls = 0
+    substitute = engine.substitute
+
+    def counted(p, inst):
+        nonlocal calls
+        calls += 1
+        return substitute(p, inst)
+
+    monkeypatch.setattr(engine, "substitute", counted)
+    assert verify_decomposition(trace)
+    assert calls == 2 * len(trace.labels)
 
 
 def test_spent_memo_is_keyed_by_membrane_node():

@@ -6,11 +6,15 @@ from collections import Counter
 from hypothesis import given, strategies as st
 from random import Random
 
+from clslr import matching
+from clslr.engine import find_redexes
 from clslr.matching import (
     MatchCapError,
     UnboundVariableError,
+    _Budget,
     _consume,
     match,
+    match_parts,
     subst_seq,
     substitute,
 )
@@ -39,6 +43,7 @@ from oracles import (
     random_ground_term,
     random_instantiation,
     random_pattern,
+    reference_match_parts,
 )
 
 a, b, c = Element("a"), Element("b"), Element("c")
@@ -191,6 +196,69 @@ def test_term_variable_pair_spends_one_candidate_per_subset(n, distinct):
     assert match(par(X, X), t, cap=2**n) == want
     with pytest.raises(MatchCapError):
         match(par(X, X), t, cap=2**n - 1)
+
+
+def test_term_variable_pair_builds_only_images_that_fit(monkeypatch):
+    # beside 16 distinct members only the doubled z has a second copy, so
+    # the first $X builds eps and the two single z images, not 2**18 bags
+    calls = 0
+    sub_bag = matching.sub_bag
+
+    def counted(members, idxs):
+        nonlocal calls
+        calls += 1
+        return sub_bag(members, idxs)
+
+    monkeypatch.setattr(matching, "sub_bag", counted)
+    rule = PlainRule(par(X, X), par(X, X))
+    t = normalize(par(*(seq(f"m{i}") for i in range(16)), seq("z"), seq("z"),
+                      rule))
+    labels = find_redexes([], t)
+    assert [lbl.binding_dict() for lbl in labels] == [{X: seq("z")}]
+    assert calls < 100
+
+
+Z = TermVar("Z")
+# runs of k = 2 and k = 3, concrete parts, non-adjacent repeats
+PART_LISTS = ([X, X], [X, X, X], [X, X, Z], [Z, X, X, X], [X, Z, X],
+              [seq("a"), X, X], [Seq((u,)), X, X, X], [X, X, Z, Z], [X, Z])
+BAG_VALUES = (seq("a"), seq("b"), seq("a", "b"), Loop((a,), seq("b")))
+
+
+def _enumerate(enumerator, parts, members, pool, require_all, cap):
+    """The ``(inst, used)`` yields before the end or the cap, and the budget
+    spent, or None when the cap was hit."""
+    budget = _Budget(cap)
+    out = []
+    try:
+        for inst, used in enumerator(list(parts), members, pool, {}, budget,
+                                     require_all):
+            out.append((dict(inst), used))
+    except MatchCapError:
+        return out, None
+    return out, cap - budget.remaining
+
+
+@given(st.sampled_from(PART_LISTS),
+       st.lists(st.sampled_from(BAG_VALUES), max_size=7), st.booleans(),
+       st.data())
+def test_pruned_term_variable_images_agree_with_the_full_enumeration(
+        parts, values, require_all, data):
+    members = members_of(normalize(Par(tuple(values))))
+    pool = tuple(sorted(data.draw(st.permutations(range(len(members))))[
+        :data.draw(st.integers(0, len(members)))]))
+    want, spent = _enumerate(reference_match_parts, parts, members, pool,
+                             require_all, 10**6)
+    assert spent is not None
+    assert _enumerate(match_parts, parts, members, pool, require_all,
+                      spent) == (want, spent)
+    if spent:
+        assert _enumerate(match_parts, parts, members, pool, require_all,
+                          spent - 1)[1] is None
+    cap = data.draw(st.integers(0, spent))
+    assert (_enumerate(match_parts, parts, members, pool, require_all, cap)
+            == _enumerate(reference_match_parts, parts, members, pool,
+                          require_all, cap))
 
 
 # -- building blocks of parallel matching

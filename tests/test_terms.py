@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from random import Random
 
+from clslr import terms
 from clslr.terms import (
     EPS,
     Element,
@@ -333,6 +334,16 @@ def test_pattern_vars_rule_bodies_toggle():
     assert pattern_vars(p, include_rule_bodies=False) == frozenset({SeqVar("u")})
     assert not is_ground(p)
     assert is_ground(Par((r, seq("a"))))
+
+
+def test_is_ground_memoises_its_verdict_on_the_node(monkeypatch):
+    r = PlainRule(Seq((ElemVar("x"),)), Seq((ElemVar("x"),)))
+    ground = Par((r, Loop((a,), seq("b"))))
+    open_ = Par((r, Loop((a,), Seq((SeqVar("u"),)))))
+    assert is_ground(ground) and not is_ground(open_)
+    # a second verdict is read off the node, without a walk
+    monkeypatch.setattr(terms, "var_occurrences", None)
+    assert is_ground(ground) and not is_ground(open_)
 
 
 def test_local_rule_violations():
