@@ -365,7 +365,8 @@ def _residue(schema: str, members: tuple, consumed: set,
 # --------------------------------------------------------------------------
 # label application
 
-def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
+def apply_label(mt: Pattern, label: ReductionLabel, *,
+                strict: bool = False) -> Pattern:
     """Apply one label, enforcing the freeze discipline; raises on staleness.
 
     The label is located from itself alone, as replay needs: of the
@@ -374,20 +375,15 @@ def apply_label(mt: Pattern, label: ReductionLabel) -> Pattern:
     unmarked members hold the instantiated lhs (first fit) and whose
     residue is the stored one is rewritten by :func:`_rewrite`, the body
     :func:`run` applies its own matches with; else the
-    :class:`StaleLabelError` names the furthest check reached.
+    :class:`StaleLabelError` names the furthest check reached.  With
+    ``strict``, as :func:`verify_decomposition` replays, a label whose
+    instantiated rhs carries a mark is stale too.
     """
-    spine, match = _lookup(normalize(mt), label)
-    return _rewrite(spine, label, *match)
-
-
-def _lookup(mt: Pattern, label: ReductionLabel) -> tuple:
-    """``(spine, match)`` of the candidate :func:`apply_label` rewrites in
-    the normal form ``mt``: the spine along the label's site and the match
-    as :func:`_site_labels` gives it; raises :class:`StaleLabelError`."""
     schema, rule = label.schema, label.rule
     if SCHEMAS.get(schema) is not type(rule):
         raise StaleLabelError(
             f"schema {schema!r} does not apply a {type(rule).__name__}")
+    mt = normalize(mt)
     inst = label.binding_dict()
     spine, site_path, loop, members = label_site(mt, schema, label.path)
     unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
@@ -408,8 +404,11 @@ def _lookup(mt: Pattern, label: ReductionLabel) -> tuple:
             continue
         used = got[0]
         if _residue(schema, members, {*held, *used}, crossed) == label.residue:
-            return spine, (*_instantiate(rule, inst), members, used, held,
-                           crossed)
+            rhs, rhs_mem = _instantiate(rule, inst)
+            if strict and has_marks(rhs):
+                raise StaleLabelError("marks nest or occur inside a rule body")
+            return _rewrite(spine, label, rhs, rhs_mem, members, used, held,
+                            crossed)
         reached = 3
     raise StaleLabelError(_STALE[reached])
 
@@ -559,18 +558,14 @@ def verify_decomposition(trace: Trace) -> bool:
 
 
 def _replay(trace: Trace, strict: bool) -> Pattern:
-    """The term the labels reach, round by round, each label applied as
-    :func:`apply_label` does.  With ``strict`` a label whose instantiated
-    rhs carries a mark is stale: as a path cannot enter a ``Frozen`` node
-    and atoms carry no marks, only that rhs can nest marks or mark a rule
-    body."""
+    """The term the labels reach, round by round.  With ``strict`` a label
+    whose instantiated rhs carries a mark is stale: as a path cannot enter a
+    ``Frozen`` node and atoms carry no marks, only that rhs can nest marks
+    or mark a rule body."""
     cur = normalize(trace.initial)
     for rnd in trace.rounds:
         mt = cur
         for lbl in rnd:
-            spine, match = _lookup(mt, lbl)
-            if strict and has_marks(match[0]):
-                raise StaleLabelError("marks nest or occur inside a rule body")
-            mt = _rewrite(spine, lbl, *match)
+            mt = apply_label(mt, lbl, strict=strict)
         cur = normalize(erase(mt))
     return cur

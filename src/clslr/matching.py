@@ -18,7 +18,6 @@ The number of candidate branch points is capped; exceeding the cap raises
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .terms import (
@@ -285,18 +284,15 @@ def _parts(ordered: list[Pattern], i: int, members: tuple[Pattern, ...],
         while i + k < len(ordered) and ordered[i + k] is part:
             k += 1
         seen_values: set = set()
-        for r in range(len(remaining) + 1):
-            combos = (itertools.combinations(remaining, r) if k == 1 else
-                      _fitting_combinations(members, remaining, r, k, budget))
-            for combo in combos:
-                budget.spend()
-                image = sub_bag(members, combo)
-                if image in seen_values:
-                    continue
-                seen_values.add(image)
-                rest = tuple(j for j in remaining if j not in combo)
-                yield from _parts(ordered, i + 1, members, rest, {**cur, part: image},
-                                  used + combo, budget, require_all)
+        for combo in _fitting_combinations(members, remaining, k, budget):
+            budget.spend()
+            image = sub_bag(members, combo)
+            if image in seen_values:
+                continue
+            seen_values.add(image)
+            rest = tuple(j for j in remaining if j not in combo)
+            yield from _parts(ordered, i + 1, members, rest, {**cur, part: image},
+                              used + combo, budget, require_all)
         return
     seen_members: set = set()
     for idx in remaining:
@@ -316,21 +312,18 @@ def _parts(ordered: list[Pattern], i: int, members: tuple[Pattern, ...],
 
 
 def _fitting_combinations(members: tuple[Pattern, ...],
-                          remaining: tuple[int, ...], r: int, k: int,
-                          budget: _Budget):
-    """The ``r``-combinations of ``remaining`` whose image ``k`` occurrences
-    of one term variable can all take: in ``itertools.combinations`` order,
-    those that hold at most ``avail(v) // k`` copies of each member value
-    ``v``, ``avail(v)`` its copies in ``remaining``.
+                          remaining: tuple[int, ...], k: int, budget: _Budget):
+    """The index combinations of ``remaining`` whose image ``k`` occurrences
+    of one term variable can all take, by size and then in
+    ``itertools.combinations`` order: those that hold at most
+    ``avail(v) // k`` copies of each member value ``v``, ``avail(v)`` its
+    copies in ``remaining``.  With ``k == 1`` that is every combination.
 
     Every other combination is spent on ``budget`` without being built: the
-    ``comb(n - j - 1, r - d - 1)`` that extend a prefix of ``d`` positions by
-    a position ``j`` whose value is full are charged at once, where the first
-    of them would have been tried.
+    ``comb(n - j - 1, r - d - 1)`` ``r``-combinations that extend a prefix
+    of ``d`` positions by a position ``j`` whose value is full are charged
+    at once, where the first of them would have been tried.
     """
-    if r == 0:
-        yield ()
-        return
     n = len(remaining)
     values = [members[j] for j in remaining]
     room: dict = {}
@@ -338,31 +331,26 @@ def _fitting_combinations(members: tuple[Pattern, ...],
         room[v] = room.get(v, 0) + 1
     for v in room:
         room[v] //= k
-    chosen: list[int] = []  # positions into ``remaining``, ascending
-    j = 0  # the next position to try after ``chosen``
-    while True:
-        d = len(chosen)
-        if d == r - 1:
-            # each position left that fits completes a combination
-            prefix = tuple(remaining[p] for p in chosen)
-            for j in range(j, n):
+    for r in range(n + 1):
+        chosen: list[int] = []  # positions into ``remaining``, ascending
+        j = 0  # the next position to try after ``chosen``
+        while True:
+            d = len(chosen)
+            if d == r:
+                yield tuple(remaining[p] for p in chosen)
+            elif j <= n - (r - d):
                 if room[values[j]]:
-                    yield (*prefix, remaining[j])
+                    room[values[j]] -= 1
+                    chosen.append(j)
                 else:
-                    budget.spend()
-        elif j <= n - (r - d):
-            if room[values[j]]:
-                room[values[j]] -= 1
-                chosen.append(j)
-            else:
-                budget.spend(math.comb(n - j - 1, r - d - 1))
+                    budget.spend(math.comb(n - j - 1, r - d - 1))
+                j += 1
+                continue
+            if not chosen:
+                break
+            j = chosen.pop()
+            room[values[j]] += 1
             j += 1
-            continue
-        if not chosen:
-            return
-        j = chosen.pop()
-        room[values[j]] += 1
-        j += 1
 
 
 def _consume(members: tuple[Pattern, ...], remaining: tuple[int, ...],
