@@ -476,6 +476,17 @@ def test_verify_rejects_a_mark_inside_a_rule_body(rule):
     assert not verify_decomposition(tr)
 
 
+def test_strict_apply_label_refuses_a_marked_rhs():
+    rule = PlainRule(Frozen(seq("b")), seq("c"))
+    tr = run(seq("a"), [GlobalRule(seq("a"), rule)], steps=1)
+    (lbl,) = tr.labels
+    with pytest.raises(StaleLabelError, match="marks nest"):
+        apply_label(tr.initial, lbl, strict=True)
+    # lax application takes it, as replay does
+    assert apply_label(tr.initial, lbl) == Frozen(rule)
+    assert replay(tr) == normalize(tr.final)
+
+
 def test_verify_rechecks_a_subtree_sane_before_a_label_rewrote_it():
     # label 1 leaves a mark inside loop(m), so that loop is found sane;
     # label 2 then puts a mark inside a rule body in the same loop
