@@ -252,7 +252,9 @@ def main(argv=None) -> int:
         print(_positioned(err, primary), file=sys.stderr)
         return 1
     except OSError as err:
-        print(f"{primary}: {err.strerror or err}", file=sys.stderr)
+        # name the file that failed: a --lambda or --out file, say
+        print(f"{err.filename or primary}: {err.strerror or err}",
+              file=sys.stderr)
         return 1
 
 

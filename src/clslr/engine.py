@@ -35,14 +35,17 @@ label's material from the label alone and then rewrites it by the same body.
 An application edits normal forms in place: the members of a normalized
 compartment are sorted, so its residue and its rewritten content are
 spliced (:func:`~clslr.terms.splice`) rather than sorted again, and each
-level of the path back to the root is rebuilt the same way.
+level of the path back to the root is rebuilt the same way, a membrane
+wrapped (:func:`~clslr.terms.wrap`) around its new content as it stands.
+Nodes are interned, so :func:`apply_label` finds a label's rule occurrence
+and matched members by identity in the site's member tuple.
 """
 
 from __future__ import annotations
 
 import random
 import weakref
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import NamedTuple
 
 from .matching import (
@@ -50,7 +53,6 @@ from .matching import (
     MatchCapError,
     UnboundVariableError,
     _Budget,
-    _consume,
     match_parts,
     match_seq_rotations,
     subst_seq,
@@ -73,10 +75,12 @@ from .terms import (
     erase,
     has_marks,
     is_ground,
+    marked_indices,
     members_of,
     min_rotation,
     normalize,
     splice,
+    wrap,
 )
 
 DEFAULT_STEP_CAP = 10**5
@@ -155,7 +159,7 @@ def node_at(mt: Pattern, path: tuple) -> Pattern:
 
 def replace_at(mt: Pattern, path: tuple, new: Pattern) -> Pattern:
     """``mt`` with ``new`` at ``path``, in normal form; ``mt`` must be one."""
-    return _graft(_spine(mt, path), path, new)
+    return _graft(_spine(mt, path), path, (normalize(new),))
 
 
 def _spine(mt: Pattern, path: tuple) -> list:
@@ -174,19 +178,26 @@ def _spine(mt: Pattern, path: tuple) -> list:
     return spine
 
 
-def _graft(spine: list, path: tuple, new: Pattern) -> Pattern:
-    """The root of a :func:`_spine` along ``path``, ``new`` as its target.
+def _graft(spine: list, path: tuple, new: tuple) -> Pattern:
+    """The root of a :func:`_spine` along ``path``, with the parallel
+    composition of ``new`` as its target.
 
-    The spine must run through a normal form.  Each level up is rebuilt in
-    normal form: a membrane is normalized around its new content, and a
-    parallel composition has ``new`` spliced in for the member it replaces.
+    The spine must run through a normal form, and ``new`` hold normal
+    forms.  Each level up is built in normal form: a parallel composition
+    has ``new`` spliced in for the member it replaces, and a membrane,
+    already least-rotated, is wrapped around its new content.
     """
     for node, step in zip(reversed(spine[:-1]), reversed(path)):
         if step == "loop":
-            new = normalize(Loop(node.membrane, new, node.mem_frozen))
+            new = (wrap(node.membrane, _compose(new), node.mem_frozen),)
         else:
-            new = splice(node.parts, (step,), (new,))
-    return new
+            new = (splice(node.parts, (step,), new),)
+    return _compose(new)
+
+
+def _compose(parts: tuple) -> Pattern:
+    """The normal form of the parallel composition of the normal ``parts``."""
+    return parts[0] if len(parts) == 1 else splice((), (), parts)
 
 
 def compartment_sites(mt: Pattern) -> list:
@@ -281,7 +292,7 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
     ``held`` and ``crossed`` as :func:`_candidates` gives them.
     """
     members = members_of(mt if loop is None else loop.content)
-    unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
+    unmarked, marked = _split_marked(members)
     for schema, rule, path, held, crossed in _candidates(
             SCHEMAS, rules, site_path, loop, members, unmarked):
         pool = tuple(i for i in unmarked if i not in held)
@@ -292,23 +303,33 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
                                                   m_inst, budget):
                 yield (ReductionLabel(
                     schema, rule, path, _binding_items(inst),
-                    _residue(schema, members, {*held, *used}, crossed)),
+                    _residue(schema, members, {*held, *used}, crossed,
+                             marked)),
                     (rhs, rhs_mem, members, used, held, crossed))
 
 
+def _split_marked(members: tuple) -> tuple:
+    """``(unmarked, marked)``: the indices of the members that carry no mark,
+    as a tuple, and of those that do, as a list."""
+    marked = marked_indices(members)
+    unmarked = filterfalse(set(marked).__contains__, range(len(members)))
+    return tuple(unmarked), marked
+
+
 def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
-                unmarked: tuple):
+                hosts: tuple):
     """``(schema, rule, path, held, crossed)`` per rule that may fire at a
     site, in ``schemas`` order: ``held`` are the member indices kept out of
     the match (the occurrence, the LR-In target), ``crossed`` the membrane
-    node the rule's membrane side must match, or None."""
+    node the rule's membrane side must match, or None.  Local rules occur
+    at the indices ``hosts`` of unmarked members, ascending."""
     for schema in schemas:
         kind = SCHEMAS[schema]
         if kind is GlobalRule:
             for rule in rules:
                 yield schema, rule, site_path, (), None
             continue
-        for ri in unmarked:
+        for ri in hosts:
             occ = members[ri]
             if not isinstance(occ, kind):
                 continue
@@ -347,17 +368,17 @@ def _instantiate(rule, inst: dict) -> tuple:
     return substitute(rule.rhs, inst), rhs_mem
 
 
-def _residue(schema: str, members: tuple, consumed: set,
-             crossed) -> Pattern:
+def _residue(schema: str, members: tuple, consumed: set, crossed,
+             marked: list) -> Pattern:
     """What a label stores of its site, mark-free: eps for GRT, the target's
-    content for LR-In, otherwise the members left beside the rule."""
+    content for LR-In, otherwise the members left beside the rule.
+    ``marked`` are the indices of the site's marked members, none of which
+    an LR or LR-Out label consumes."""
     if schema == SCHEMA_GRT:
         return EPS
     if schema == SCHEMA_LR_IN:
-        return normalize(erase(crossed.content))
-    # the marked members left are taken out, erased and spliced back in
-    marked = [i for i, m in enumerate(members)
-              if i not in consumed and has_marks(m)]
+        return erase(crossed.content)
+    # the marked members are taken out, erased and spliced back in
     return splice(members, consumed.union(marked),
                   [erase(members[i]) for i in marked])
 
@@ -386,24 +407,24 @@ def apply_label(mt: Pattern, label: ReductionLabel, *,
     mt = normalize(mt)
     inst = label.binding_dict()
     spine, site_path, loop, members = label_site(mt, schema, label.path)
-    unmarked = tuple(i for i, m in enumerate(members) if not has_marks(m))
+    marked = marked_indices(members)
+    # the unmarked occurrences of a local rule (a global one has none)
+    hosts = (() if schema == SCHEMA_GRT or has_marks(rule)
+             else _indices(members, rule))
     needed = members_of(substitute(rule.lhs, inst))  # eps is no redex
     reached = 0  # checks passed by the furthest candidate, indexes _STALE
-    for _, occ, _, held, crossed in _candidates(
-            (schema,), (rule,), site_path, loop, members, unmarked):
-        if occ is not rule:
-            continue
+    for _, _, _, held, crossed in _candidates(
+            (schema,), (rule,), site_path, loop, members, hosts):
         if crossed is not None and crossed.membrane != min_rotation(
                 subst_seq(rule.lhs_mem, inst)):
             reached = max(reached, 1)
             continue
-        got = needed and _consume(
-            members, tuple(i for i in unmarked if i not in held), needed)
-        if not got:
+        used = needed and _first_fit(members, needed, held)
+        if not used:
             reached = max(reached, 2)
             continue
-        used = got[0]
-        if _residue(schema, members, {*held, *used}, crossed) == label.residue:
+        if _residue(schema, members, {*held, *used}, crossed,
+                    marked) == label.residue:
             rhs, rhs_mem = _instantiate(rule, inst)
             if strict and has_marks(rhs):
                 raise StaleLabelError("marks nest or occur inside a rule body")
@@ -413,26 +434,56 @@ def apply_label(mt: Pattern, label: ReductionLabel, *,
     raise StaleLabelError(_STALE[reached])
 
 
+def _indices(members: tuple, node) -> list:
+    """The indices at which ``node`` occurs in ``members``, ascending."""
+    found, i = [], -1
+    while True:
+        try:
+            i = members.index(node, i + 1)
+        except ValueError:
+            return found
+        found.append(i)
+
+
+def _first_fit(members: tuple, needed: tuple, held: tuple):
+    """The indices, ascending, of the first unmarked members outside
+    ``held`` that hold the values ``needed``, one each; None when a value
+    has too few such copies (a marked value has none).  ``needed`` must be
+    :func:`members_of` a normal form, so that equal values are adjacent."""
+    used, i, prev = [], -1, None
+    for v in needed:
+        if v is not prev:
+            if has_marks(v):  # a marked member is never taken
+                return None
+            i, prev = -1, v
+        try:
+            i = members.index(v, i + 1)
+            while i in held:
+                i = members.index(v, i + 1)
+        except ValueError:
+            return None
+        used.append(i)
+    return tuple(sorted(used))
+
+
 def _rewrite(spine: list, label: ReductionLabel, rhs: Pattern, rhs_mem,
              members: tuple, used: tuple, held: tuple, crossed) -> Pattern:
     """The normal form ``label`` rewrites its term to, given its match:
     ``spine`` runs from the root along the label's path (or further), and
     the rest is as :func:`_site_labels` gives it.  A crossed membrane
     becomes ``rhs_mem``, frozen for the rest of the step."""
-    taken = set(used)
-    produced = Frozen(rhs)
+    produced = normalize(Frozen(rhs))
     if label.schema == SCHEMA_LR_OUT:
         # the produced material leaves across the crossed membrane
-        new = splice((), (), (produced, Loop(
-            rhs_mem, splice(members, taken, ()), True)))
+        new = (produced, wrap(rhs_mem, splice(members, used, ()), True))
     elif label.schema == SCHEMA_LR_IN:
         # the produced material enters the target membrane
         content = splice(members_of(crossed.content), (), (produced,))
-        new = splice(members, taken.union(held[1:]),
-                     (Loop(rhs_mem, content, True),))
+        new = (splice(members, used + held[1:],
+                      (wrap(rhs_mem, content, True),)),)
     else:
-        new = splice(members, taken, (produced,))
-    return normalize(_graft(spine[:len(label.path) + 1], label.path, new))
+        new = (splice(members, used, (produced,)),)
+    return _graft(spine[:len(label.path) + 1], label.path, new)
 
 
 _STALE = ("rule occurrence or membrane is gone",
@@ -498,7 +549,7 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
         if not applied:
             break
         rounds.append(applied)
-        cur = normalize(erase(mt))
+        cur = erase(mt)
     return Trace(initial, tuple(rounds), cur, seed, strategy, k)
 
 
@@ -567,5 +618,5 @@ def _replay(trace: Trace, strict: bool) -> Pattern:
         mt = cur
         for lbl in rnd:
             mt = apply_label(mt, lbl, strict=strict)
-        cur = normalize(erase(mt))
+        cur = erase(mt)
     return cur

@@ -101,9 +101,9 @@ def substitute(p: Pattern, inst: Instantiation) -> Pattern:
     """Apply an instantiation to a pattern and normalize the result.
 
     Embedded rules are returned verbatim: instantiation never reaches inside
-    a rule body.
+    a rule body, so a ground pattern is only normalized.
     """
-    return normalize(_subst(p, inst))
+    return normalize(p if is_ground(p) else _subst(p, inst))
 
 
 def _subst(p: Pattern, inst: Instantiation) -> Pattern:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import accumulate, compress, count, repeat
+from operator import not_, sub
 from typing import NamedTuple
 
 from .engine import (
@@ -49,8 +51,11 @@ from .terms import (
     canonical_text,
     is_ground,
     local_rule_violations,
+    min_rotation,
     normalize,
     seq_text,
+    splice,
+    wrap,
 )
 from .typecheck import FEATURE_ORDER, Classification
 
@@ -368,13 +373,7 @@ class _Parser:
 
 def _parse_all(text: str, path: str | None, parse):
     """``parse`` applied to a fresh parser over ``text``, which it must use up."""
-    return _parse_tokens(tokenize(text, path), path, parse)
-
-
-def _parse_tokens(tokens: list, path: str | None, parse):
-    """``parse`` applied to a fresh parser over ``tokens`` (the last one
-    ``eof``), which it must use up."""
-    p = _Parser(tokens, path)
+    p = _Parser(tokenize(text, path), path)
     out = parse(p)
     p.expect_eof()
     return out
@@ -480,25 +479,73 @@ def _block(items: list, indent: int, brackets: str = "[]") -> str:
             f"\n{' ' * (indent - 2)}{brackets[1]}")
 
 
-_OPEN = frozenset("([{")
-_CLOSE = frozenset(")]}")
+def _read_term(text: str, memo: dict) -> Pattern:
+    """``normalize(parse_pattern_text(text))``, read member by member.
+
+    ``text`` is cut at each `` | `` where the bracket counts balance, and
+    each piece is looked up in ``memo``, keyed by its text, or else read as
+    one item (:func:`_read_item`) and entered there.  A text with a comment
+    or a line break, or one that does not cut into items, is parsed whole,
+    which fails where and as a fresh parse does.
+    """
+    cuts = text.split(" | ")
+    nodes = [*map(memo.get, cuts)]  # every cut a known member
+    if None in nodes:
+        nodes = (None if "#" in text or "\n" in text
+                 else _read_members(text, cuts, memo))
+        if nodes is None:
+            return normalize(parse_pattern_text(text))
+    return nodes[0] if len(nodes) == 1 else splice((), (), nodes)
 
 
-def _member_ends(tokens: list) -> list:
-    """The index in ``tokens`` (the last one ``eof``) of each ``|`` outside
-    brackets, then of the ``eof``: where each parallel member ends."""
-    ends, depth = [], 0
-    for i, tok in enumerate(tokens):
-        if tok.kind != "punct":
-            continue
-        if tok.text in _OPEN:
-            depth += 1
-        elif tok.text in _CLOSE:
-            depth -= 1
-        elif tok.text == "|" and not depth:
-            ends.append(i)
-    ends.append(len(tokens) - 1)
-    return ends
+def _read_members(text: str, cuts: list, memo: dict):
+    """The members of ``text``, cut into ``cuts`` at each `` | ``, or None.
+
+    Consecutive cuts are joined back into one piece until the bracket
+    depth, all three kinds counted alike, is back to zero.  None when it
+    goes below zero or never comes back, or a piece does not read.
+    """
+    # the depth after each cut, counted in a copy with one kind of bracket
+    flat = text.translate({ord("["): "(", ord("{"): "(",
+                           ord("]"): ")", ord("}"): ")"}).split(" | ")
+    opened = map(str.count, flat, repeat("("))
+    closed = map(str.count, flat, repeat(")"))
+    depths = [*accumulate(map(sub, opened, closed))]
+    if depths[-1] or min(depths) < 0:
+        return None
+    nodes, start = [], 0
+    for end in compress(count(1), map(not_, depths)):
+        piece = " | ".join(cuts[start:end])
+        start = end
+        node = memo.get(piece)
+        if node is None:
+            node = _read_item(piece, memo)
+            if node is None:
+                return None
+            memo[piece] = node
+        nodes.append(node)
+    return nodes
+
+
+def _read_item(text: str, memo: dict):
+    """``normalize`` of the one item ``text`` holds, or None when it does
+    not parse as exactly one item.  The content of a membrane
+    ``loop(SEQ)[TERM]`` is read by :func:`_read_term`, so that its members
+    are looked up in ``memo`` too, and ``memo`` keeps the least rotation of
+    ``SEQ`` under the key ``(SEQ,)``."""
+    try:
+        if text.startswith("loop(") and text.endswith("]"):
+            seq, bracket, content = text[5:-1].partition(")[")
+            if bracket:
+                membrane = memo.get((seq,))
+                if membrane is None:
+                    membrane = memo[seq,] = min_rotation(parse_seq_text(seq))
+                return wrap(membrane, _read_term(content, memo), False)
+        p = _Parser(tokenize(text))
+        node = p.parse_item()
+    except (ModelSyntaxError, RecursionError):
+        return None
+    return normalize(node) if p.peek().kind == "eof" else None
 
 
 def _local_rule_from_text(text: str) -> LocalRule:
@@ -575,30 +622,7 @@ def _trace_from_doc(doc: dict) -> Trace:
     members: dict = {}
 
     def read_term(text):
-        """``normalize(parse_pattern_text(text))``, tokenizing ``text`` once
-        and parsing each distinct member once.  If a member does not parse
-        as one item, the whole text is parsed, which fails where and as a
-        fresh parse does."""
-        tokens = tokenize(text)
-        texts = [tok.text for tok in tokens]
-        parser = _Parser(tokens)
-        parts, start = [], 0
-        for end in _member_ends(tokens):
-            key = tuple(texts[start:end])
-            node = members.get(key)
-            if node is None:
-                parser.i = start
-                try:
-                    node = parser.parse_item()
-                except (ModelSyntaxError, RecursionError):
-                    node = None
-                if node is None or parser.i != end:
-                    return normalize(
-                        _parse_tokens(tokens, None, _Parser.parse_par))
-                node = members[key] = normalize(node)
-            parts.append(node)
-            start = end + 1
-        return normalize(Par(tuple(parts)))
+        return _read_term(text, members)
 
     rounds: list = []
     for step in _array(doc["steps"], "steps"):

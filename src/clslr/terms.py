@@ -12,8 +12,10 @@ Every node is hash-consed: constructing a node whose class and field values
 equal those of a live node returns that node, however the arguments were
 passed.  Each node class has a generated ``__new__`` whose parameters are
 its fields, so Python binds positional, keyword and defaulted calls alike;
-the body looks the key up and builds a node only on a miss.  Node ``==`` is
-therefore identity and ``hash`` costs O(1).  The
+the body looks the key up and, only on a miss, makes the node, sets its
+fields and enters it in the intern table itself, which is the one way a
+node is built.  Node ``==`` is therefore identity and ``hash`` costs O(1).
+The
 intern table is a plain dict from ``(class, *field values)`` to a weak
 reference to the node, so a node lives exactly as long as something outside
 the table refers to it.  The reference carries its key and, when its node
@@ -33,7 +35,10 @@ which is what ``equiv`` checks.  ``normalize``, ``canonical_text``,
 memoise their result on the node itself, so a memo is freed with its node
 and retained memory follows the live terms.  ``splice`` is the one builder
 of parallel normal forms: ``normalize`` builds every ``Par`` with it, and it
-edits the members of a normal form without sorting them again.
+edits the members of a normal form without sorting them again, taking the
+kept ones by deleting the dropped slots from a copy.  ``wrap`` likewise
+builds a membrane around normal content, and ``erase`` splices the erased
+members of a normal form back in.
 
 The rewrite engine additionally tracks which material was produced within
 the current parallel step.  Such material is wrapped in ``Frozen`` marks;
@@ -47,6 +52,8 @@ from __future__ import annotations
 
 import weakref
 from bisect import insort
+from functools import cache
+from itertools import compress
 
 
 # --------------------------------------------------------------------------
@@ -67,21 +74,6 @@ def _drop(ref: _Ref, table: dict = _INTERNED) -> None:
     key was re-interned since (the table binding survives module teardown)."""
     if table.get(ref.key) is ref:
         del table[ref.key]
-
-
-def _build(key: tuple):
-    """The node of a missed ``key``: a new instance of ``key[0]`` with the
-    rest of the key as its fields, entered in the intern table.  Fields are
-    set in order, so every node of a class shares one key layout for its
-    instance dict."""
-    cls = key[0]
-    node = object.__new__(cls)
-    for name, value in zip(cls._names, key[1:]):
-        object.__setattr__(node, name, value)
-    ref = _Ref(node, _drop)
-    ref.key = key
-    _INTERNED[key] = ref
-    return node
 
 
 class _Node:
@@ -109,23 +101,37 @@ def _node(cls):
     Its fields are its annotated names, in order; a class attribute of the
     same name is the field's default.  Its ``__new__`` is written out per
     class, as ``collections.namedtuple`` does, so Python itself binds
-    positional, keyword and defaulted calls.  The body only builds the key
-    ``(cls, *fields)`` and returns the live node it names, or else the one
-    :func:`_build` makes.
+    positional, keyword and defaulted calls.  The body builds the key
+    ``(cls, *fields)`` and returns the live node it names; on a miss it
+    makes the node, sets its fields in order (so every node of a class
+    shares one key layout for its instance dict) and enters it in the
+    intern table.
     """
     cls._names = names = tuple(vars(cls).get("__annotations__", ()))
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in vars(cls) else n
                        for n in names)
-    namespace = {"_get": _INTERNED.get, "_build": _build,
-                 "_defaults": vars(cls)}
-    exec(f"def __new__(_cls, {params}):\n"
-         f"    _key = ({', '.join(('_cls', *names))},)\n"
-         "    _ref = _get(_key)\n"
-         "    if _ref is None or (_hit := _ref()) is None:\n"
-         "        _hit = _build(_key)\n"
-         "    return _hit\n", namespace)
+    namespace = {"_get": _INTERNED.get, "_table": _INTERNED, "_Ref": _Ref,
+                 "_drop": _drop, "_new": object.__new__,
+                 "_set": object.__setattr__, "_defaults": vars(cls)}
+    exec(_new_code(params, names), namespace)
     cls.__new__ = staticmethod(namespace["__new__"])
     return cls
+
+
+@cache
+def _new_code(params: str, names: tuple):
+    """The compiled definition of a ``__new__`` with these parameters and
+    fields, which classes with the same ones share."""
+    return compile(
+        f"def __new__(_cls, {params}):\n"
+        f"    _key = ({', '.join(('_cls', *names))},)\n"
+        "    _ref = _get(_key)\n"
+        "    if _ref is None or (_hit := _ref()) is None:\n"
+        "        _hit = _new(_cls)\n"
+        + "".join(f"        _set(_hit, {n!r}, {n})\n" for n in names) +
+        "        _ref = _table[_key] = _Ref(_hit, _drop)\n"
+        "        _ref.key = _key\n"
+        "    return _hit\n", "<string>", "exec")
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +184,8 @@ class Pattern(_Node):
 
     The five class attributes below are the unset per-node memos of
     :func:`normalize`, :func:`canonical_text`, :func:`has_marks`,
-    :func:`is_ground` and :func:`erase`.
+    :func:`is_ground` and :func:`erase`.  ``Seq``, ``TermVar`` and
+    ``Frozen`` set ``_marks`` for the whole class instead.
     """
 
     __slots__ = ()
@@ -197,6 +204,7 @@ class Seq(Pattern):
     """A flat sequence of atoms; the empty tuple is the empty term eps."""
 
     items: tuple[Atom, ...]
+    _marks = False
 
 
 @_node
@@ -220,6 +228,7 @@ class TermVar(Pattern):
     """Variable standing for an arbitrary (possibly empty) term.  Written ``$X``."""
 
     name: str
+    _marks = False
 
 
 class LocalRule(Pattern):
@@ -265,6 +274,7 @@ class Frozen(Pattern):
     """Mark on a subtree produced during the current parallel step."""
 
     body: Pattern
+    _marks = True
 
 
 EPS = Seq(())
@@ -326,7 +336,7 @@ def _canonical_text(p: Pattern) -> str:
         bang = "!" if p.mem_frozen else ""
         return f"loop({bang}{seq_text(p.membrane)})[{canonical_text(p.content)}]"
     if isinstance(p, Par):
-        return " | ".join(canonical_text(m) for m in p.parts)
+        return " | ".join(map(canonical_text, p.parts))
     if isinstance(p, TermVar):
         return "$" + p.name
     if isinstance(p, PlainRule):
@@ -393,11 +403,8 @@ def _normalize(p: Pattern) -> Pattern:
     if isinstance(p, (OutRule, InRule)):
         return type(p)(normalize(p.lhs), p.lhs_mem, normalize(p.rhs), p.rhs_mem)
     if isinstance(p, Loop):
-        content = normalize(p.content)
-        mem = min_rotation(p.membrane)
-        if not mem and content is EPS:
-            return EPS
-        return Loop(mem, content, p.mem_frozen)
+        return wrap(min_rotation(p.membrane), normalize(p.content),
+                    p.mem_frozen)
     if isinstance(p, Frozen):
         body = normalize(p.body)
         if body is EPS:
@@ -406,7 +413,7 @@ def _normalize(p: Pattern) -> Pattern:
             return body
         if isinstance(body, Par):
             return splice((), (), [Frozen(m) for m in body.parts])
-        return Frozen(body)
+        return p if body is p.body else Frozen(body)
     if isinstance(p, Par):
         return splice((), (), p.parts)
     raise TypeError(f"not a pattern: {p!r}")
@@ -448,12 +455,16 @@ def splice(members: tuple[Pattern, ...], drop, add) -> Pattern:
     members whose index is not in ``drop``, built without sorting them again.
 
     ``members`` must be :func:`members_of` a normalized pattern, so ``kept``
-    is sorted by canonical text.  A single added member is put in its place
-    by bisection; several are appended and sorted in with one ``sort``,
-    which merges them into the sorted run in about ``len(kept)`` key
-    lookups, where bisecting each would take ``log2(len(kept))`` apiece.
+    is sorted by canonical text, and ``drop`` distinct indices into it.
+    ``kept`` is a copy of ``members`` with the dropped slots deleted, last
+    first.  A single added member is put in its place by bisection; several
+    are appended and sorted in with one ``sort``, which merges them into the
+    sorted run in about ``len(kept)`` key lookups, where bisecting each
+    would take ``log2(len(kept))`` apiece.
     """
-    kept = [m for i, m in enumerate(members) if i not in drop]
+    kept = list(members)
+    for i in sorted(drop, reverse=True):
+        del kept[i]
     new = []
     for p in map(normalize, add):
         if isinstance(p, Par):
@@ -470,6 +481,17 @@ def splice(members: tuple[Pattern, ...], drop, add) -> Pattern:
     bag = Par(tuple(kept))
     bag.__dict__["_norm"] = _NORMAL
     return bag
+
+
+def wrap(membrane: tuple[Atom, ...], content: Pattern,
+         mem_frozen: bool) -> Pattern:
+    """``normalize(Loop(membrane, content, mem_frozen))``, built directly:
+    ``membrane`` must be its own least rotation and ``content`` normal."""
+    if not membrane and content is EPS:
+        return EPS
+    node = Loop(membrane, content, mem_frozen)
+    node.__dict__["_norm"] = _NORMAL
+    return node
 
 
 # --------------------------------------------------------------------------
@@ -571,10 +593,7 @@ def has_marks(p: Pattern) -> bool:
 
 
 def _has_marks(p: Pattern) -> bool:
-    if isinstance(p, Frozen):
-        return True
-    if isinstance(p, Seq) or isinstance(p, TermVar):
-        return False
+    # a Seq, a TermVar and a Frozen node answer from their class
     if isinstance(p, Loop):
         return p.mem_frozen or has_marks(p.content)
     if isinstance(p, Par):
@@ -584,13 +603,23 @@ def _has_marks(p: Pattern) -> bool:
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def erase(p: Pattern) -> Pattern:
-    """Strip every frozen mark, keeping the tree otherwise intact.
+def marked_indices(members: tuple[Pattern, ...]) -> list[int]:
+    """The indices of the ``members`` that carry a mark, ascending."""
+    return [*compress(range(len(members)), map(has_marks, members))]
 
-    The memo is kept only when it is another node (a rule is returned as
-    it is), so it makes no reference cycle: any other erased tree is built
-    from the node's descendants and never holds the node itself.
+
+def erase(p: Pattern) -> Pattern:
+    """The normal form of ``p`` with every frozen mark stripped.
+
+    ``p`` is normalized first, so the erasure is built by splicing: the
+    unmarked members of a compartment stay in place and only its erased
+    marked members are sorted back in.  Rule bodies are not erased.  The
+    memo is kept on the normal form, and only when it is another node (a
+    rule is returned as it is), so it makes no reference cycle: any other
+    erased tree is built from the node's descendants and never holds the
+    node itself.
     """
+    p = normalize(p)
     if not has_marks(p):
         return p
     erased = p._erased
@@ -605,7 +634,8 @@ def _erase(p: Pattern) -> Pattern:
     if isinstance(p, Frozen):
         return erase(p.body)
     if isinstance(p, Loop):
-        return Loop(p.membrane, erase(p.content), False)
+        return wrap(p.membrane, erase(p.content), False)
     if isinstance(p, Par):
-        return Par(tuple(erase(m) for m in p.parts))
+        marked = marked_indices(p.parts)
+        return splice(p.parts, marked, [erase(p.parts[i]) for i in marked])
     return p

@@ -174,6 +174,19 @@ def test_missing_file(capsys):
     assert "path.clslr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--lambda", "--out"])
+def test_os_error_names_the_file_that_failed(tmp_path, capsys, flag):
+    model = tmp_path / "m.clslr"
+    model.write_text("a\n")
+    # a classification file that is missing, or an output path that is a
+    # directory
+    other = tmp_path / "missing.clslr" if flag == "--lambda" else tmp_path
+    assert main(["run", str(model), flag, str(other)]) == 1
+    reason = ("No such file or directory" if flag == "--lambda"
+              else "Is a directory")
+    assert capsys.readouterr().err == f"{other}: {reason}\n"
+
+
 def test_lambda_file_must_hold_elements_only(tmp_path, capsys):
     lam = tmp_path / "bad.lambda.clslr"
     lam.write_text("element a : { } ;\na\n")

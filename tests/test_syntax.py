@@ -1,6 +1,8 @@
 """Surface syntax: tokenizer, parser diagnostics, rendering, trace JSON."""
 
+import functools
 import json
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -469,27 +471,78 @@ def test_equal_trace_texts_share_one_node():
     assert len(by_text) < len(tr.labels)
 
 
-def test_each_distinct_trace_text_is_tokenized_once(monkeypatch):
-    text = trace_to_json(golden_trace())
-    doc = json.loads(text)
-    # (parser, text): a text read both as a rule and as a term, say, is
-    # tokenized once by each parser
-    distinct = {("term", doc["initial"]), ("term", doc["final"])}
-    for step in doc["steps"]:
-        distinct |= {(step["schema"] == "GRT", step["rule"]),
-                     ("term", step["residue"])}
-        distinct |= {("term" if var[0] == "$" else "seq", image)
-                     for var, image in step["sigma"].items()}
-    seen = []
+def cut(text: str) -> list:
+    """``text`` cut at each `` | `` outside brackets, by a scan of its
+    characters."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch in "([{") - (ch in ")]}")
+        if not depth and text.startswith(" | ", i):
+            pieces.append(text[start:i])
+            start = i + 3
+    return pieces + [text[start:]]
+
+
+def member_texts(text: str):
+    """The member texts a term text cuts into and, for each membrane among
+    them, the members of its content, and its membrane text as ``(SEQ,)``."""
+    for piece in cut(text):
+        yield piece
+        if piece.startswith("loop(") and ")[" in piece:
+            seq, _, content = piece[5:-1].partition(")[")
+            yield (seq,)
+            yield from member_texts(content)
+
+
+def tokenized_texts(monkeypatch, text: str) -> Counter:
+    """How often ``trace_from_json(text)`` tokenizes each text."""
+    seen = Counter()
     real = syntax.tokenize
 
     def counting(text, path=None):
-        seen.append(text)
+        seen[text] += 1
         return real(text, path)
 
     monkeypatch.setattr(syntax, "tokenize", counting)
     trace_from_json(text)
-    assert sorted(seen) == sorted(text for _, text in distinct)
+    monkeypatch.undo()
+    return seen
+
+
+def test_trace_reader_tokenizes_each_member_text_at_most_once(monkeypatch):
+    text = trace_to_json(golden_trace())
+    doc = json.loads(text)
+    terms = [doc["initial"], doc["final"]]
+    rules, images, membranes, members = set(), set(), set(), set()
+    for step in doc["steps"]:
+        rules.add(step["rule"])
+        terms.append(step["residue"])
+        for var, image in step["sigma"].items():
+            (terms.append if var[0] == "$" else images.add)(image)
+    for term in terms:
+        for piece in member_texts(term):
+            if isinstance(piece, tuple):
+                membranes.add(piece[0])
+            else:
+                members.add(piece)
+    seen = tokenized_texts(monkeypatch, text)
+    assert members & set(seen) and rules <= set(seen)
+    for tokens, n in seen.items():
+        # a text that cuts is never tokenized, only its members
+        assert len(cut(tokens)) == 1, tokens
+        # at most once in each way it is read
+        assert n <= sum(tokens in texts
+                        for texts in (rules, images, membranes, members))
+
+
+def test_reading_a_flat_step_tokenizes_no_more_as_it_widens(monkeypatch):
+    def tokenized(n):
+        term = P(" | ".join(["a"] * n + ["{ a => b }"]))
+        seen = tokenized_texts(monkeypatch, trace_to_json(run(term, [])))
+        return sum(len(text) * k for text, k in seen.items())
+
+    # a tokenized residue would make this grow as n squared
+    assert tokenized(320) <= tokenized(80)
 
 
 def test_each_term_read_is_the_normal_form_of_its_text():
@@ -514,6 +567,64 @@ def test_each_term_read_is_the_normal_form_of_its_text():
             assert node is normalize(parse_pattern_text(term_text)), term_text
         read += len(pairs)
     assert read > 1000
+
+
+@functools.cache
+def random_residues() -> tuple:
+    """The residue texts of ``random_model`` runs."""
+    texts = set()
+    for seed in range(40):
+        term, globals_, _ = random_model(seed)
+        for strategy, k in (("maximal", None), ("random-k", 2)):
+            doc = json.loads(trace_to_json(run(term, globals_, steps=3,
+                                               strategy=strategy, seed=seed,
+                                               k=k)))
+            texts |= {step["residue"] for step in doc["steps"]}
+    return tuple(sorted(texts))
+
+
+def respaced(text: str, draw) -> str:
+    """``text`` with the blanks around up to two of its ``|`` widened."""
+    pieces = text.split(" | ")
+    seps = [" | "] * (len(pieces) - 1)
+    for _ in range(draw(st.integers(0, min(2, len(seps))))):
+        seps[draw(st.integers(0, len(seps) - 1))] = draw(st.sampled_from(
+            ["  |  ", "\t|\t", " |\t", "\t| ", "  | "]))
+    return "".join(sum(zip(pieces, seps), ())) + pieces[-1]
+
+
+@pytest.mark.parametrize("shape", ["members", "rule", "loop", "nested",
+                                   "comment"])
+@given(st.data())
+def test_a_cut_residue_reads_as_its_whole_text(shape, data):
+    draw = data.draw
+    pool = random_residues()
+    texts = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 3)))]
+    if shape == "rule":  # a rule member whose sides hold ` | `
+        texts.append(f"{{ {texts[0]} => {texts[-1]} | c }}")
+    elif shape == "loop":  # a member whose membrane is not least-rotated
+        texts.append(f"loop(m)[{texts[0]} | loop(n.m)[{texts[-1]}]]")
+    elif shape == "nested":
+        texts = [f"loop(n.m)[{' | '.join(texts)} | loop(eps)[eps]]"]
+    elif shape == "comment":  # it hides the members after it on its line
+        i = draw(st.integers(0, len(texts) - 1))
+        texts[i] += draw(st.sampled_from([" # c", " # c\n", "\n"]))
+    residue = respaced(" | ".join(texts), draw)
+    if draw(st.integers(0, 3)) == 0:  # a slip of the pen
+        i = draw(st.integers(0, len(residue)))
+        residue = residue[:i] + draw(st.sampled_from(
+            ["", "(", ")", "]", "{", "|", " | ", "loop(", "#"])) + residue[i + 1:]
+    _, tr = trace_fixture()
+    doc = json.loads(trace_to_json(tr))
+    doc["steps"][-1]["residue"] = residue
+    try:
+        want = normalize(parse_pattern_text(residue))
+    except ModelSyntaxError as exc:
+        with pytest.raises(ModelSyntaxError) as got:
+            trace_from_json(json.dumps(doc))
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert trace_from_json(json.dumps(doc)).labels[-1].residue is want
 
 
 @pytest.mark.parametrize("residue", [

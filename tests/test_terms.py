@@ -456,6 +456,23 @@ def test_splice_is_normalize_of_the_kept_and_added(seed, n, n_add, data):
     assert normalize(got) is got
 
 
+@given(st.integers(0, 2**32), st.integers(0, 8), st.data())
+def test_splice_drops_by_slot_and_adds_eps_bags_and_marks(seed, n, data):
+    rng = Random(seed)
+    members = members_of(normalize(Par(tuple(_piece(rng)
+                                             for _ in range(n)))))
+    many = data.draw(st.sampled_from([0, 1, 2, len(members)]))
+    slots = data.draw(st.permutations(range(len(members))))[:many]
+    drop = data.draw(st.sampled_from([set(slots), tuple(slots)]))
+    kinds = {"eps": lambda: EPS, "member": lambda: _piece(rng),
+             "bag": lambda: Par((_piece(rng), _piece(rng), Frozen(EPS))),
+             "marked": lambda: Frozen(Par((_piece(rng), _piece(rng))))}
+    add = tuple(kinds[k]() for k in data.draw(
+        st.lists(st.sampled_from(sorted(kinds)), max_size=4)))
+    kept = tuple(m for i, m in enumerate(members) if i not in drop)
+    assert splice(members, drop, add) is normalize(Par((*kept, *add)))
+
+
 def test_splice_edge_cases():
     members = members_of(normalize(Par((seq("b"), Frozen(seq("a")),
                                         PlainRule(seq("a"), seq("c"))))))
