@@ -46,7 +46,8 @@ def count_opcodes(fn):
         sys.settrace(None)
     named: Counter = Counter()
     for code, n in counts.items():
-        named[f"{Path(code.co_filename).name}:{code.co_qualname}"] += n
+        name = getattr(code, "co_qualname", code.co_name)  # 3.11 on
+        named[f"{Path(code.co_filename).name}:{name}"] += n
     return result, named
 
 
