@@ -193,16 +193,13 @@ def cmd_run(args) -> int:
     if model.term is None:
         raise ModelSyntaxError("the model declares no term to run", 1, 1,
                                args.model)
-    cap = _match_cap(args, model)
+    options = dict(steps=args.steps, strategy=args.strategy, seed=args.seed,
+                   k=args.k, match_cap=_match_cap(args, model))
     if args.typed:
         trace = typed_run(model.term, model.globals,
-                          model.classification(strict=args.strict),
-                          steps=args.steps, strategy=args.strategy,
-                          seed=args.seed, k=args.k, match_cap=cap)
+                          model.classification(strict=args.strict), **options)
     else:
-        trace = engine_run(model.term, model.globals, steps=args.steps,
-                           strategy=args.strategy, seed=args.seed, k=args.k,
-                           match_cap=cap)
+        trace = engine_run(model.term, model.globals, **options)
     text = trace_to_json(trace) if args.format == "json" else _trace_text(trace)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

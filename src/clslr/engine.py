@@ -228,37 +228,35 @@ def compartment_sites(mt: Pattern) -> list:
 # redex discovery
 
 def find_redexes(rules, mt: Pattern, match_cap: int = DEFAULT_MATCH_CAP, *,
-                 label_filter=None, first: bool = False,
-                 spent=None) -> list:
+                 label_filter=None) -> list:
     """The reduction labels of ``mt`` under the freeze discipline.
 
     Deterministic order: sites innermost first and the root last (see
     :func:`compartment_sites`), then schema (in :data:`SCHEMAS` order), then
     rule/occurrence order, then match order.  Congruent decompositions
-    yielding the same label are emitted once.
-
-    Labels are discovered lazily.  ``label_filter(mt, label)``, when given,
-    vetoes labels.  With ``first`` the scan stops at the first label the
-    filter admits and returns at most that one, so ``match_cap`` bounds only
-    the candidates tried up to it.
-
-    ``spent``, a set or a ``weakref.WeakSet``, holds membrane (``Loop``)
-    nodes whose compartment yielded no label at all when fully scanned:
-    later scans skip those sites and add the newly spent ones.  The labels
-    at an inner site depend only on ``rules`` and on its loop node (content,
-    membrane and ``mem_frozen``), so one set may serve every scan made with
-    the same ``rules``.  The root is never skipped.  Without ``spent``, a
-    fresh set serves this scan.
+    yielding the same label are emitted once.  ``label_filter(mt, label)``,
+    when given, vetoes labels.
     """
     return [lbl for lbl, _ in _matched_redexes(
-        rules, normalize(mt), match_cap, label_filter, first,
-        set() if spent is None else spent)]
+        rules, normalize(mt), match_cap, label_filter, False, set())]
 
 
 def _matched_redexes(rules, mt: Pattern, match_cap: int, label_filter,
                      first: bool, spent) -> list:
     """:func:`find_redexes` of the normal form ``mt``, each label paired
-    with the match :func:`_rewrite` applies it by."""
+    with the match :func:`_rewrite` applies it by.
+
+    Labels are discovered lazily.  With ``first`` the scan stops at the
+    first label the filter admits and returns at most that one, so
+    ``match_cap`` bounds only the candidates tried up to it.
+
+    ``spent``, a set or a ``weakref.WeakSet``, holds membrane (``Loop``)
+    nodes whose compartment yielded no label at all when fully scanned:
+    the scan skips those sites and adds the newly spent ones.  The labels
+    at an inner site depend only on ``rules`` and on its loop node (content,
+    membrane and ``mem_frozen``), so one set may serve every scan made with
+    the same ``rules``.  The root is never skipped.
+    """
     found = _discover(rules, mt, _Budget(match_cap), spent)
     if label_filter is not None:
         found = (hit for hit in found if label_filter(mt, hit[0]))
@@ -515,8 +513,9 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
 
     Strategies: ``single`` applies the first redex; ``random-k`` applies up
     to ``k`` seeded-random redexes; ``maximal`` applies redexes until none
-    remains.  A step that applies nothing ends the run early.  A marked or
-    non-ground ``term`` raises ``ValueError``.
+    remains.  A step that applies nothing ends the run early, and one that
+    would apply more than ``step_cap`` labels raises :class:`StepCapError`.
+    A marked or non-ground ``term`` raises ``ValueError``.
     ``label_filter(mt, label)``, when given, vetoes candidate labels; the
     term passed to it is the current marked state.
 
@@ -526,9 +525,8 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     rewritten where its scan matched it, without the lookup
     :func:`apply_label` makes.  The run keeps one memo of spent
     compartments: membrane nodes whose content yielded no label when fully
-    scanned, which every later scan of the run skips (see
-    :func:`find_redexes`).  The memo holds its nodes weakly, so it never
-    keeps a term of an earlier step alive.
+    scanned, which every later scan of the run skips.  The memo holds its
+    nodes weakly, so it never keeps a term of an earlier step alive.
     """
     _check_strategy(strategy, k)
     initial = normalize(term)
@@ -536,6 +534,7 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
         raise ValueError("a run starts from a ground, mark-free term")
     rng = random.Random(seed)
     first = strategy != "random-k"
+    limit = {"single": 1, "random-k": k}.get(strategy)  # None: maximal
     spent = weakref.WeakSet()
 
     def redexes(mt):
@@ -545,7 +544,7 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     cur = initial
     rounds = []
     for _ in range(steps):
-        mt, applied = _one_round(cur, redexes, strategy, rng, k, step_cap)
+        mt, applied = _one_round(cur, redexes, first, rng, limit, step_cap)
         if not applied:
             break
         rounds.append(applied)
@@ -564,22 +563,19 @@ def _check_strategy(strategy: str, k) -> None:
         raise ValueError(f"k must be a positive integer, not {k!r}")
 
 
-def _one_round(mt, redexes, strategy, rng, k, step_cap):
+def _one_round(mt, redexes, first, rng, limit, step_cap):
+    """Apply up to ``limit`` labels (no limit when None), scanning again
+    before each: the only hit of a ``first`` scan, else a seeded-random
+    one.  A scan that finds a label when ``step_cap`` are applied raises
+    :class:`StepCapError`."""
     applied: list[ReductionLabel] = []
-    while True:
-        if strategy == "single" and applied:
-            break
-        if strategy == "random-k" and len(applied) >= k:
-            break
-        if len(applied) >= step_cap:
-            raise StepCapError(step_cap)
+    while limit is None or len(applied) < limit:
         hits = redexes(mt)
         if not hits:
             break
-        if strategy == "random-k":
-            lbl, match = hits[rng.randrange(len(hits))]
-        else:
-            lbl, match = hits[0]
+        if len(applied) >= step_cap:
+            raise StepCapError(step_cap)
+        lbl, match = hits[0] if first else hits[rng.randrange(len(hits))]
         mt = _rewrite(_spine(mt, lbl.path), lbl, *match)
         applied.append(lbl)
     return mt, tuple(applied)

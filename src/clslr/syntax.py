@@ -297,9 +297,14 @@ class _Parser:
             rule = OutRule(lhs, lhs_mem, rhs, rhs_mem)
         else:
             rule = InRule(lhs, lhs_mem, rhs, rhs_mem)
+        return self.well_formed(rule, brace.line, brace.col)
+
+    def well_formed(self, rule, line: int, col: int):
+        """``rule``, unless it breaks a well-formedness clause, which is
+        reported at ``line:col``."""
         for clause in local_rule_violations(rule):
             raise IllFormedRuleError(clause, _CLAUSE_MESSAGES[clause],
-                                     brace.line, brace.col, self.path)
+                                     line, col, self.path)
         return rule
 
     # -- statements
@@ -351,11 +356,7 @@ class _Parser:
         """``P => P``; a well-formedness defect is reported at ``line:col``."""
         lhs = self.parse_par()
         self.expect("=>")
-        rule = GlobalRule(lhs, self.parse_par())
-        for clause in local_rule_violations(rule):
-            raise IllFormedRuleError(clause, _CLAUSE_MESSAGES[clause],
-                                     line, col, self.path)
-        return rule
+        return self.well_formed(GlobalRule(lhs, self.parse_par()), line, col)
 
     def parse_option_decl(self, model: ModelFile):
         self.expect("option")

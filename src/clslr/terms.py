@@ -31,10 +31,10 @@ congruent componentwise.  ``normalize`` maps every pattern to a canonical
 representative (flattened, members sorted, least membrane rotation); since
 that representative is interned, congruence is identity of normal forms,
 which is what ``equiv`` checks.  ``normalize``, ``canonical_text``,
-``has_marks``, ``is_ground``, ``erase`` and ``local_rule_violations``
-memoise their result on the node itself, so a memo is freed with its node
-and retained memory follows the live terms.  ``splice`` is the one builder
-of parallel normal forms: ``normalize`` builds every ``Par`` with it, and it
+``has_marks``, ``is_ground`` and ``erase`` memoise their result on the node
+itself, so a memo is freed with its node and retained memory follows the
+live terms.  ``splice`` is the one builder of parallel normal forms:
+``normalize`` and ``sub_bag`` build every ``Par`` with it, and it
 edits the members of a normal form without sorting them again, taking the
 kept ones by deleting the dropped slots from a copy.  ``wrap`` likewise
 builds a membrane around normal content, and ``erase`` splices the erased
@@ -232,13 +232,9 @@ class TermVar(Pattern):
 
 
 class LocalRule(Pattern):
-    """Base class for the three local rule shapes.
-
-    ``_defects`` is the unset memo of :func:`local_rule_violations`.
-    """
+    """Base class for the three local rule shapes."""
 
     __slots__ = ()
-    _defects = None
 
 
 @_node
@@ -286,7 +282,6 @@ class GlobalRule(_Node):
 
     lhs: Pattern
     rhs: Pattern
-    _defects = None
 
 
 # --------------------------------------------------------------------------
@@ -434,20 +429,15 @@ def members_of(p: Pattern) -> tuple[Pattern, ...]:
 
 
 def sub_bag(members: tuple[Pattern, ...], idxs: tuple[int, ...]) -> Pattern:
-    """``normalize(Par(tuple(members[j] for j in idxs)))``, built directly.
+    """``normalize(Par(tuple(members[j] for j in idxs)))``, built by
+    :func:`splice` with nothing dropped or added.
 
     ``members`` must be :func:`members_of` a normalized pattern and ``idxs``
-    ascending.  Such members are flat, eps-free, normal and sorted, and an
-    index-ordered selection of them stays sorted, so the parallel
-    composition of two or more is already its own normal form.
+    ascending: an index-ordered selection of sorted members stays sorted,
+    so it is :func:`members_of` its own normal form, as :func:`splice`
+    requires.
     """
-    if not idxs:
-        return EPS
-    if len(idxs) == 1:
-        return members[idxs[0]]
-    bag = Par(tuple(members[j] for j in idxs))
-    bag.__dict__["_norm"] = _NORMAL
-    return bag
+    return splice([members[j] for j in idxs], (), ())
 
 
 def splice(members: tuple[Pattern, ...], drop, add) -> Pattern:
@@ -557,13 +547,6 @@ def local_rule_violations(r: LocalRule | GlobalRule) -> tuple[str, ...]:
     (the right side mentions a variable the left side does not), and
     ``membrane-vars`` (same, for the membrane sides of an in/out rule).
     """
-    defects = r._defects
-    if defects is None:
-        defects = r.__dict__["_defects"] = _rule_violations(r)
-    return defects
-
-
-def _rule_violations(r: LocalRule | GlobalRule) -> tuple[str, ...]:
     out: list[str] = []
     if normalize(r.lhs) is EPS:
         out.append("empty-lhs")

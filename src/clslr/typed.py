@@ -18,8 +18,6 @@ from __future__ import annotations
 from functools import partial
 
 from .engine import (
-    DEFAULT_MATCH_CAP,
-    DEFAULT_STEP_CAP,
     SCHEMA_GRT,
     ReductionLabel,
     Trace,
@@ -66,24 +64,28 @@ def typed_ok(mt: Pattern, label: ReductionLabel, classif: Classification) -> boo
 
 
 def typed_find_redexes(rules, model_term: Pattern, classif: Classification,
-                       match_cap: int = DEFAULT_MATCH_CAP) -> list:
-    """Every label of ``model_term`` that :func:`typed_ok` admits, in order."""
-    return find_redexes(rules, model_term, match_cap=match_cap,
+                       **options) -> list:
+    """Every label of ``model_term`` that :func:`typed_ok` admits, in order.
+
+    ``options`` are those of :func:`clslr.engine.find_redexes` but
+    ``label_filter``, which this function sets.
+    """
+    return find_redexes(rules, model_term, **options,
                         label_filter=partial(typed_ok, classif=classif))
 
 
-def typed_run(term: Pattern, rules, classif: Classification, *, steps: int = 1,
-              strategy: str = "maximal", seed: int = 0, k: int | None = None,
-              match_cap: int = DEFAULT_MATCH_CAP,
-              step_cap: int = DEFAULT_STEP_CAP) -> Trace:
+def typed_run(term: Pattern, rules, classif: Classification,
+              **options) -> Trace:
     """Like :func:`clslr.engine.run` with untypable labels filtered out.
 
-    The filter consults the current term, so it is re-evaluated as the
-    term evolves within a parallel step.  A label's verdict depends only on
-    its schema, its rule, the basis :func:`infer_basis` gives its binding
-    and the membrane of the loop that grants it (none at the root or for a
-    global rule), so the run asks :func:`typed_ok` once per such key.  A
-    classification miss raises every time and is never kept.
+    ``options`` are those of :func:`clslr.engine.run` but ``label_filter``,
+    which this function sets.  The filter consults the current term, so it
+    is re-evaluated as the term evolves within a parallel step.  A label's
+    verdict depends only on its schema, its rule, the basis
+    :func:`infer_basis` gives its binding and the membrane of the loop that
+    grants it (none at the root or for a global rule), so the run asks
+    :func:`typed_ok` once per such key.  A classification miss raises every
+    time and is never kept.
     """
     verdicts: dict = {}
 
@@ -98,9 +100,7 @@ def typed_run(term: Pattern, rules, classif: Classification, *, steps: int = 1,
             verdict = verdicts[key] = typed_ok(mt, label, classif)
         return verdict
 
-    return run(term, rules, steps=steps, strategy=strategy, seed=seed,
-               k=k, match_cap=match_cap, step_cap=step_cap,
-               label_filter=admitted)
+    return run(term, rules, **options, label_filter=admitted)
 
 
 def subject_reduction_check(before: Pattern, after: Pattern,

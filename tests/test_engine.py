@@ -1,5 +1,6 @@
 """Redex discovery, the four schemas, freeze discipline, traces."""
 
+import gc
 import importlib
 import importlib.util
 
@@ -341,6 +342,34 @@ def test_step_cap():
         run(t, [], step_cap=3)
 
 
+def test_step_cap_admits_a_step_of_exactly_the_cap():
+    # the cap is checked only once a scan finds another label to apply
+    t = P("a | a | a | { a => b }")
+    classif = Classification({"a": frozenset(), "b": frozenset()})
+    assert len(run(t, [], step_cap=3).labels) == 3
+    assert len(typed_run(t, [], classif, step_cap=3).labels) == 3
+    with pytest.raises(StepCapError):
+        run(t, [], step_cap=2)
+    with pytest.raises(StepCapError):
+        typed_run(t, [], classif, step_cap=2)
+
+
+def test_repeated_term_variable_run_leaves_no_cyclic_garbage():
+    # the benchmark's termvar shape: each image of $X | $X is built by
+    # splice, and the run frees it by reference counting alone
+    t = P("a | b | c | d | a.b | b.c | c.d | d.a | a.b.c | b.c.d | z | z | "
+          "{ $X | $X => $X | $X }")
+    run(t, [], steps=2)
+    gc.collect()
+    gc.disable()
+    try:
+        trace = run(t, [], steps=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(trace.labels) == 2 and trace.final == normalize(t)
+
+
 def test_run_rejects_marked_start():
     with pytest.raises(ValueError):
         run(Frozen(seq("a")), [])
@@ -657,25 +686,31 @@ def test_spent_memo_skips_only_spent_sites():
     t = normalize(P("loop(m)[c | { c => d }] | loop(w)[b]"))
     live, dead = node_at(t, (0,)), node_at(t, (1,))
     assert live.membrane == (Element("m"),)
+
+    def scan(spent):
+        return engine._matched_redexes([], t, engine.DEFAULT_MATCH_CAP, None,
+                                       False, spent)
+
     spent: set = set()
-    assert len(find_redexes([], t, spent=spent)) == 1
+    assert len(scan(spent)) == 1
     assert spent == {dead}
-    assert len(find_redexes([], t, spent=spent)) == 1
+    assert len(scan(spent)) == 1
     # a site whose loop node is in the set is not scanned
-    assert find_redexes([], t, spent={live}) == []
+    assert scan({live}) == []
 
 
 def test_first_stops_at_first_admitted_label():
     t = P("c | c | { c => d } | { c => e }")
     every = find_redexes([], t)
     assert len(every) == 2
-    assert find_redexes([], t, first=True) == every[:1]
+    assert run(t, [], strategy="single").labels == tuple(every[:1])
 
     def not_d(mt, lbl):
         return lbl.rule != P("{ c => d }")
 
     assert find_redexes([], t, label_filter=not_d) == every[1:]
-    assert find_redexes([], t, label_filter=not_d, first=True) == every[1:]
+    assert run(t, [], strategy="single",
+               label_filter=not_d).labels == tuple(every[1:])
 
 
 def test_first_admitted_scan_spends_less_match_budget():
