@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from itertools import filterfalse, islice
+from itertools import filterfalse
 from typing import NamedTuple
 
 from .matching import (
@@ -72,6 +72,7 @@ from .terms import (
     PlainRule,
     SeqVar,
     TermVar,
+    compose,
     erase,
     has_marks,
     is_ground,
@@ -189,15 +190,10 @@ def _graft(spine: list, path: tuple, new: tuple) -> Pattern:
     """
     for node, step in zip(reversed(spine[:-1]), reversed(path)):
         if step == "loop":
-            new = (wrap(node.membrane, _compose(new), node.mem_frozen),)
+            new = (wrap(node.membrane, compose(new), node.mem_frozen),)
         else:
             new = (splice(node.parts, (step,), new),)
-    return _compose(new)
-
-
-def _compose(parts: tuple) -> Pattern:
-    """The normal form of the parallel composition of the normal ``parts``."""
-    return parts[0] if len(parts) == 1 else splice((), (), parts)
+    return compose(new)
 
 
 def compartment_sites(mt: Pattern) -> list:
@@ -255,18 +251,11 @@ def _matched_redexes(rules, mt: Pattern, match_cap: int, label_filter,
     the scan skips those sites and adds the newly spent ones.  The labels
     at an inner site depend only on ``rules`` and on its loop node (content,
     membrane and ``mem_frozen``), so one set may serve every scan made with
-    the same ``rules``.  The root is never skipped.
+    the same ``rules``.  The root is never skipped.  Each label comes once,
+    with the first match that gave it, and is offered to the filter once.
     """
-    found = _discover(rules, mt, _Budget(match_cap), spent)
-    if label_filter is not None:
-        found = (hit for hit in found if label_filter(mt, hit[0]))
-    return list(islice(found, 1) if first else found)
-
-
-def _discover(rules, mt: Pattern, budget: _Budget, spent):
-    """Generate the ``(label, match)`` pairs of :func:`_matched_redexes` in
-    order, each label once, with the first match that gave it."""
-    seen: set = set()
+    budget = _Budget(match_cap)
+    found, seen = [], set()
     for site_path, loop in compartment_sites(mt):
         if loop in spent:
             continue
@@ -275,9 +264,13 @@ def _discover(rules, mt: Pattern, budget: _Budget, spent):
             empty = False
             if hit[0] not in seen:
                 seen.add(hit[0])
-                yield hit
+                if label_filter is None or label_filter(mt, hit[0]):
+                    found.append(hit)
+                    if first:
+                        return found
         if empty and loop is not None:
             spent.add(loop)
+    return found
 
 
 def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
@@ -290,7 +283,9 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
     ``held`` and ``crossed`` as :func:`_candidates` gives them.
     """
     members = members_of(mt if loop is None else loop.content)
-    unmarked, marked = _split_marked(members)
+    marked = marked_indices(members)
+    unmarked = tuple(filterfalse(set(marked).__contains__,
+                                 range(len(members))))
     for schema, rule, path, held, crossed in _candidates(
             SCHEMAS, rules, site_path, loop, members, unmarked):
         pool = tuple(i for i in unmarked if i not in held)
@@ -304,14 +299,6 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
                     _residue(schema, members, {*held, *used}, crossed,
                              marked)),
                     (rhs, rhs_mem, members, used, held, crossed))
-
-
-def _split_marked(members: tuple) -> tuple:
-    """``(unmarked, marked)``: the indices of the members that carry no mark,
-    as a tuple, and of those that do, as a list."""
-    marked = marked_indices(members)
-    unmarked = filterfalse(set(marked).__contains__, range(len(members)))
-    return tuple(unmarked), marked
 
 
 def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
@@ -536,18 +523,28 @@ def run(term: Pattern, rules, *, steps: int = 1, strategy: str = "maximal",
     first = strategy != "random-k"
     limit = {"single": 1, "random-k": k}.get(strategy)  # None: maximal
     spent = weakref.WeakSet()
-
-    def redexes(mt):
-        return _matched_redexes(rules, mt, match_cap, label_filter, first,
-                                spent)
-
-    cur = initial
+    cur = mt = initial
     rounds = []
     for _ in range(steps):
-        mt, applied = _one_round(cur, redexes, first, rng, limit, step_cap)
+        # ``spent`` holds loops weakly: a compartment back in the marked
+        # state it was spent in last round is skipped only while that node
+        # lives, so ``last`` keeps last round's marked term until this round
+        # ends
+        last, mt = mt, cur
+        applied: list[ReductionLabel] = []
+        while limit is None or len(applied) < limit:
+            hits = _matched_redexes(rules, mt, match_cap, label_filter, first,
+                                    spent)
+            if not hits:
+                break
+            if len(applied) >= step_cap:
+                raise StepCapError(step_cap)
+            lbl, match = hits[0] if first else hits[rng.randrange(len(hits))]
+            mt = _rewrite(_spine(mt, lbl.path), lbl, *match)
+            applied.append(lbl)
         if not applied:
             break
-        rounds.append(applied)
+        rounds.append(tuple(applied))
         cur = erase(mt)
     return Trace(initial, tuple(rounds), cur, seed, strategy, k)
 
@@ -561,24 +558,6 @@ def _check_strategy(strategy: str, k) -> None:
         raise ValueError("k is required exactly when the strategy is random-k")
     if k is not None and (type(k) is not int or k < 1):
         raise ValueError(f"k must be a positive integer, not {k!r}")
-
-
-def _one_round(mt, redexes, first, rng, limit, step_cap):
-    """Apply up to ``limit`` labels (no limit when None), scanning again
-    before each: the only hit of a ``first`` scan, else a seeded-random
-    one.  A scan that finds a label when ``step_cap`` are applied raises
-    :class:`StepCapError`."""
-    applied: list[ReductionLabel] = []
-    while limit is None or len(applied) < limit:
-        hits = redexes(mt)
-        if not hits:
-            break
-        if len(applied) >= step_cap:
-            raise StepCapError(step_cap)
-        lbl, match = hits[0] if first else hits[rng.randrange(len(hits))]
-        mt = _rewrite(_spine(mt, lbl.path), lbl, *match)
-        applied.append(lbl)
-    return mt, tuple(applied)
 
 
 def replay(trace: Trace) -> Pattern:

@@ -49,12 +49,12 @@ from .terms import (
     SeqVar,
     TermVar,
     canonical_text,
+    compose,
     is_ground,
     local_rule_violations,
     min_rotation,
     normalize,
     seq_text,
-    splice,
     wrap,
 )
 from .typecheck import FEATURE_ORDER, Classification
@@ -496,7 +496,10 @@ def _read_term(text: str, memo: dict) -> Pattern:
                  else _read_members(text, cuts, memo))
         if nodes is None:
             return normalize(parse_pattern_text(text))
-    return nodes[0] if len(nodes) == 1 else splice((), (), nodes)
+    return compose(nodes)
+
+
+_ONE_BRACKET = str.maketrans("[{]}", "(())")
 
 
 def _read_members(text: str, cuts: list, memo: dict):
@@ -507,8 +510,7 @@ def _read_members(text: str, cuts: list, memo: dict):
     goes below zero or never comes back, or a piece does not read.
     """
     # the depth after each cut, counted in a copy with one kind of bracket
-    flat = text.translate({ord("["): "(", ord("{"): "(",
-                           ord("]"): ")", ord("}"): ")"}).split(" | ")
+    flat = text.translate(_ONE_BRACKET).split(" | ")
     opened = map(str.count, flat, repeat("("))
     closed = map(str.count, flat, repeat(")"))
     depths = [*accumulate(map(sub, opened, closed))]

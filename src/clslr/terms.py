@@ -34,9 +34,9 @@ which is what ``equiv`` checks.  ``normalize``, ``canonical_text``,
 ``has_marks``, ``is_ground`` and ``erase`` memoise their result on the node
 itself, so a memo is freed with its node and retained memory follows the
 live terms.  ``splice`` is the one builder of parallel normal forms:
-``normalize`` and ``sub_bag`` build every ``Par`` with it, and it
-edits the members of a normal form without sorting them again, taking the
-kept ones by deleting the dropped slots from a copy.  ``wrap`` likewise
+``normalize``, ``sub_bag`` and ``compose`` build every ``Par`` with it, and
+it edits the members of a normal form without sorting them again, taking
+the kept ones by deleting the dropped slots from a copy.  ``wrap`` likewise
 builds a membrane around normal content, and ``erase`` splices the erased
 members of a normal form back in.
 
@@ -319,31 +319,30 @@ def canonical_text(p: Pattern) -> str:
         text = p._text
     except AttributeError:
         raise TypeError(f"not a pattern: {p!r}") from None
-    if text is None:
-        text = p.__dict__["_text"] = _canonical_text(p)
-    return text
-
-
-def _canonical_text(p: Pattern) -> str:
+    if text is not None:
+        return text
     if isinstance(p, Seq):
-        return seq_text(p.items)
-    if isinstance(p, Loop):
+        text = seq_text(p.items)
+    elif isinstance(p, Loop):
         bang = "!" if p.mem_frozen else ""
-        return f"loop({bang}{seq_text(p.membrane)})[{canonical_text(p.content)}]"
-    if isinstance(p, Par):
-        return " | ".join(map(canonical_text, p.parts))
-    if isinstance(p, TermVar):
-        return "$" + p.name
-    if isinstance(p, PlainRule):
-        return f"{{ {canonical_text(p.lhs)} => {canonical_text(p.rhs)} }}"
-    if isinstance(p, (OutRule, InRule)):
+        text = f"loop({bang}{seq_text(p.membrane)})[{canonical_text(p.content)}]"
+    elif isinstance(p, Par):
+        text = " | ".join(map(canonical_text, p.parts))
+    elif isinstance(p, TermVar):
+        text = "$" + p.name
+    elif isinstance(p, PlainRule):
+        text = f"{{ {canonical_text(p.lhs)} => {canonical_text(p.rhs)} }}"
+    elif isinstance(p, (OutRule, InRule)):
         side = "^" if isinstance(p, OutRule) else "@"
-        return (f"{{ {canonical_text(p.lhs)} {side} {seq_text(p.lhs_mem)}"
+        text = (f"{{ {canonical_text(p.lhs)} {side} {seq_text(p.lhs_mem)}"
                 f" => {canonical_text(p.rhs)} {side} {seq_text(p.rhs_mem)} }}")
-    if isinstance(p, Frozen):
+    elif isinstance(p, Frozen):
         body = canonical_text(p.body)
-        return f"!({body})" if isinstance(p.body, Par) else "!" + body
-    raise TypeError(f"not a pattern: {p!r}")
+        text = f"!({body})" if isinstance(p.body, Par) else "!" + body
+    else:
+        raise TypeError(f"not a pattern: {p!r}")
+    p.__dict__["_text"] = text
+    return text
 
 
 def seq_text(items: tuple[Atom, ...]) -> str:
@@ -380,38 +379,35 @@ def normalize(p: Pattern) -> Pattern:
         raise TypeError(f"not a pattern: {p!r}") from None
     if norm is _NORMAL:
         return p
-    if norm is None:
-        norm = _normalize(p)
-        norm.__dict__["_norm"] = _NORMAL
-        if norm is not p:
-            p.__dict__["_norm"] = norm
-    return norm
-
-
-def _normalize(p: Pattern) -> Pattern:
+    if norm is not None:
+        return norm
     if isinstance(p, Seq):
-        return EPS if not p.items else p
-    if isinstance(p, TermVar):
-        return p
-    if isinstance(p, PlainRule):
-        return PlainRule(normalize(p.lhs), normalize(p.rhs))
-    if isinstance(p, (OutRule, InRule)):
-        return type(p)(normalize(p.lhs), p.lhs_mem, normalize(p.rhs), p.rhs_mem)
-    if isinstance(p, Loop):
-        return wrap(min_rotation(p.membrane), normalize(p.content),
+        norm = EPS if not p.items else p
+    elif isinstance(p, TermVar):
+        norm = p
+    elif isinstance(p, PlainRule):
+        norm = PlainRule(normalize(p.lhs), normalize(p.rhs))
+    elif isinstance(p, (OutRule, InRule)):
+        norm = type(p)(normalize(p.lhs), p.lhs_mem, normalize(p.rhs), p.rhs_mem)
+    elif isinstance(p, Loop):
+        norm = wrap(min_rotation(p.membrane), normalize(p.content),
                     p.mem_frozen)
-    if isinstance(p, Frozen):
+    elif isinstance(p, Frozen):
         body = normalize(p.body)
-        if body is EPS:
-            return EPS
-        if isinstance(body, Frozen):
-            return body
-        if isinstance(body, Par):
-            return splice((), (), [Frozen(m) for m in body.parts])
-        return p if body is p.body else Frozen(body)
-    if isinstance(p, Par):
-        return splice((), (), p.parts)
-    raise TypeError(f"not a pattern: {p!r}")
+        if body is EPS or isinstance(body, Frozen):
+            norm = body
+        elif isinstance(body, Par):
+            norm = splice((), (), [Frozen(m) for m in body.parts])
+        else:
+            norm = p if body is p.body else Frozen(body)
+    elif isinstance(p, Par):
+        norm = splice((), (), p.parts)
+    else:
+        raise TypeError(f"not a pattern: {p!r}")
+    norm.__dict__["_norm"] = _NORMAL
+    if norm is not p:
+        p.__dict__["_norm"] = norm
+    return norm
 
 
 def equiv(p1: Pattern, p2: Pattern) -> bool:
@@ -471,6 +467,11 @@ def splice(members: tuple[Pattern, ...], drop, add) -> Pattern:
     bag = Par(tuple(kept))
     bag.__dict__["_norm"] = _NORMAL
     return bag
+
+
+def compose(parts) -> Pattern:
+    """The normal form of the parallel composition of the normal ``parts``."""
+    return parts[0] if len(parts) == 1 else splice((), (), parts)
 
 
 def wrap(membrane: tuple[Atom, ...], content: Pattern,
@@ -571,19 +572,17 @@ def has_marks(p: Pattern) -> bool:
     except AttributeError:
         raise TypeError(f"not a pattern: {p!r}") from None
     if marks is None:
-        marks = p.__dict__["_marks"] = _has_marks(p)
+        # a Seq, a TermVar and a Frozen node answer from their class
+        if isinstance(p, Loop):
+            marks = p.mem_frozen or has_marks(p.content)
+        elif isinstance(p, Par):
+            marks = any(map(has_marks, p.parts))
+        elif isinstance(p, LocalRule):
+            marks = has_marks(p.lhs) or has_marks(p.rhs)
+        else:
+            raise TypeError(f"not a pattern: {p!r}")
+        p.__dict__["_marks"] = marks
     return marks
-
-
-def _has_marks(p: Pattern) -> bool:
-    # a Seq, a TermVar and a Frozen node answer from their class
-    if isinstance(p, Loop):
-        return p.mem_frozen or has_marks(p.content)
-    if isinstance(p, Par):
-        return any(has_marks(m) for m in p.parts)
-    if isinstance(p, LocalRule):
-        return has_marks(p.lhs) or has_marks(p.rhs)
-    raise TypeError(f"not a pattern: {p!r}")
 
 
 def marked_indices(members: tuple[Pattern, ...]) -> list[int]:
@@ -607,18 +606,15 @@ def erase(p: Pattern) -> Pattern:
         return p
     erased = p._erased
     if erased is None:
-        erased = _erase(p)
+        if isinstance(p, Frozen):
+            erased = erase(p.body)
+        elif isinstance(p, Loop):
+            erased = wrap(p.membrane, erase(p.content), False)
+        elif isinstance(p, Par):
+            marked = marked_indices(p.parts)
+            erased = splice(p.parts, marked, [erase(p.parts[i]) for i in marked])
+        else:
+            return p
         if erased is not p:
             p.__dict__["_erased"] = erased
     return erased
-
-
-def _erase(p: Pattern) -> Pattern:
-    if isinstance(p, Frozen):
-        return erase(p.body)
-    if isinstance(p, Loop):
-        return wrap(p.membrane, erase(p.content), False)
-    if isinstance(p, Par):
-        marked = marked_indices(p.parts)
-        return splice(p.parts, marked, [erase(p.parts[i]) for i in marked])
-    return p

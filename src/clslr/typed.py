@@ -15,8 +15,6 @@ missing from a strict classification do raise.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .engine import (
     SCHEMA_GRT,
     ReductionLabel,
@@ -57,10 +55,6 @@ def typed_ok(mt: Pattern, label: ReductionLabel, classif: Classification) -> boo
         return True
     except (SideConditionError, UnboundVariableError):
         return False
-    except TypingError as err:
-        if err.judgment == "classification":
-            raise
-        return False
 
 
 def typed_find_redexes(rules, model_term: Pattern, classif: Classification,
@@ -71,7 +65,7 @@ def typed_find_redexes(rules, model_term: Pattern, classif: Classification,
     ``label_filter``, which this function sets.
     """
     return find_redexes(rules, model_term, **options,
-                        label_filter=partial(typed_ok, classif=classif))
+                        label_filter=_admitted(classif))
 
 
 def typed_run(term: Pattern, rules, classif: Classification,
@@ -80,10 +74,17 @@ def typed_run(term: Pattern, rules, classif: Classification,
 
     ``options`` are those of :func:`clslr.engine.run` but ``label_filter``,
     which this function sets.  The filter consults the current term, so it
-    is re-evaluated as the term evolves within a parallel step.  A label's
-    verdict depends only on its schema, its rule, the basis
+    is re-evaluated as the term evolves within a parallel step.
+    """
+    return run(term, rules, **options, label_filter=_admitted(classif))
+
+
+def _admitted(classif: Classification):
+    """A label filter that admits what :func:`typed_ok` admits.
+
+    A label's verdict depends only on its schema, its rule, the basis
     :func:`infer_basis` gives its binding and the membrane of the loop that
-    grants it (none at the root or for a global rule), so the run asks
+    grants it (none at the root or for a global rule), so the filter asks
     :func:`typed_ok` once per such key.  A classification miss raises every
     time and is never kept.
     """
@@ -100,7 +101,7 @@ def typed_run(term: Pattern, rules, classif: Classification,
             verdict = verdicts[key] = typed_ok(mt, label, classif)
         return verdict
 
-    return run(term, rules, **options, label_filter=admitted)
+    return admitted
 
 
 def subject_reduction_check(before: Pattern, after: Pattern,

@@ -30,6 +30,8 @@ from clslr.syntax import (
     parse_global_text,
     parse_model,
     parse_pattern_text,
+    trace_from_json,
+    trace_to_json,
 )
 from clslr.terms import (
     EPS,
@@ -396,6 +398,26 @@ def test_apply_label_stale_when_material_frozen():
         apply_label(frozen, lbl)
 
 
+def test_replay_never_takes_frozen_material():
+    # $X may bind the frozen a, but replay must not consume it
+    X = TermVar("X")
+    rule = PlainRule(X, seq("b"))
+    mt = normalize(Par((Frozen(seq("a")), rule)))
+    lbl = ReductionLabel("LR", rule, (), ((X, Frozen(seq("a"))),), seq("a"))
+    with pytest.raises(StaleLabelError,
+                       match="matched material is no longer available"
+                             " unmarked"):
+        apply_label(mt, lbl)
+
+
+def test_out_rule_crosses_an_empty_membrane():
+    t = P("loop(eps)[a | { a ^ ~x => a ^ ~x }]")
+    tr = run(t, [], steps=1)
+    assert [(lbl.schema, lbl.path) for lbl in tr.labels] == [("LR-Out", ())]
+    assert tr.final == normalize(P("a | loop(eps)[{ a ^ ~x => a ^ ~x }]"))
+    assert verify_decomposition(tr)
+
+
 def test_trace_replays_to_final():
     t = P("loop(m)[ { a ^ m => b ^ m } | a | c | { c => d } ]")
     tr = run(t, [G("d => e")], steps=3)
@@ -699,6 +721,24 @@ def test_spent_memo_skips_only_spent_sites():
     assert scan({live}) == []
 
 
+def test_spent_memo_outlives_the_round_that_spent_it(monkeypatch):
+    # each round marks the inner compartment into the same spent state as
+    # the round before, which a later round skips while that node lives:
+    # 3 sites scanned in the first round, 2 in each later one
+    calls = 0
+    site_labels = engine._site_labels
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return site_labels(*args)
+
+    monkeypatch.setattr(engine, "_site_labels", counted)
+    tr = run(P("loop(m)[a | { a => a }]"), [], steps=3)
+    assert len(tr.rounds) == 3
+    assert calls == 7
+
+
 def test_first_stops_at_first_admitted_label():
     t = P("c | c | { c => d } | { c => e }")
     every = find_redexes([], t)
@@ -722,6 +762,20 @@ def test_first_admitted_scan_spends_less_match_budget():
     assert [lbl.schema for lbl in tr.labels] == ["LR"]
     with pytest.raises(MatchCapError):
         run(t, [], steps=1, strategy="random-k", k=1, match_cap=50)
+
+
+def test_deep_nesting_runs_reads_and_replays():
+    # the parser's three frames per level bind first; no term walk of the
+    # run, the reader or replay may take more
+    term = "a"
+    for k in range(250):
+        term = f"loop(m)[{term} | b{k}]"
+    tr = run(P(term), [G("a => b")])
+    assert schemas(tr.labels) == ["GRT"]
+    back = trace_from_json(trace_to_json(tr))
+    assert back == tr
+    assert verify_decomposition(back)
+    assert replay(back) == tr.final
 
 
 # -- the traced benchmark replaces these module attributes by name

@@ -30,6 +30,7 @@ from clslr.syntax import (
 from clslr.terms import erase, normalize
 from clslr.typecheck import (
     Classification,
+    SideConditionError,
     TypingError,
     UnknownElementError,
     pattern_type,
@@ -72,6 +73,18 @@ def test_out_crossing_rejected_when_membrane_forbids_o():
     assert typed_find_redexes([], t, LAMBDA_EX) == []
     healthy = P("loop(Tim)[ { ATP ^ ~x => ATP ^ ~x } | ATP ]")
     assert len(typed_find_redexes([], healthy, LAMBDA_EX)) == 1
+
+
+def test_crossing_rejected_by_a_membrane_side_condition():
+    # T grants o, so only the rule's own membrane sides can reject it: the
+    # side condition on T => U fails inside typed_ok
+    t = P("loop(T)[ a | { a ^ T => a ^ U } ]")
+    classif = Classification({"a": F(), "T": F("o"), "U": F()})
+    assert [lbl.schema for lbl in find_redexes([], t)] == ["LR-Out"]
+    with pytest.raises(SideConditionError):
+        pattern_type({}, classif, P("{ a ^ T => a ^ U }"))
+    assert typed_find_redexes([], t, classif) == []
+    assert typed_run(t, [], classif, steps=1).rounds == ()
 
 
 def test_in_crossing_rejected_when_compartment_forbids_i():
