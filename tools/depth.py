@@ -1,13 +1,13 @@
 """Find the deepest membrane nesting each CLI command accepts.
 
-    python3 tools/depth.py [--high 1024]
+    python3 tools/depth.py
 
 The model is ``global a => b ;`` beside ``n`` nested membranes, level ``k``
 holding the next level and ``bk``::
 
     loop(m)[loop(m)[... loop(m)[a | b0] ... | bn-2] | bn-1]
 
-For each command it bisects the largest ``n`` in ``[1, --high)`` that
+For each command it bisects the largest ``n`` in ``[1, HIGH)`` that
 exits 0:
 
 - check: ``clslr check``;
@@ -19,13 +19,12 @@ exits 0:
 Each probe is one fresh ``python3 -I`` process that imports ``clslr`` from
 this checkout's ``src`` and calls its ``main``, as the console script does,
 under the interpreter's default recursion limit; probes run one at a time.
-A command that still exits 0 at ``--high`` is reported as ``>= HIGH``.
+A command that still exits 0 at ``HIGH`` (1024) is reported as ``>= 1024``.
 Uses only the standard library.
 """
 
 from __future__ import annotations
 
-import argparse
 import subprocess
 import sys
 import tempfile
@@ -35,6 +34,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 BOOT = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
         "from clslr.cli import main; sys.exit(main())")
 COMMANDS = ("check", "typecheck", "run", "replay")
+HIGH = 1024  # the depth the bisection starts below
 
 
 def model_text(n: int) -> str:
@@ -69,12 +69,12 @@ def accepts(command: str, n: int, tmp: Path) -> bool:
     return ran and clslr("replay", str(trace)) == 0
 
 
-def deepest(command: str, high: int, tmp: Path) -> int:
-    """The largest ``n < high`` that ``command`` accepts, or ``high`` when
-    it accepts ``high`` itself; 0 when it rejects ``n = 1``."""
-    if accepts(command, high, tmp):
-        return high
-    lo, hi = 0, high  # accepted at lo (vacuously at 0), rejected at hi
+def deepest(command: str, tmp: Path) -> int:
+    """The largest ``n < HIGH`` that ``command`` accepts, or ``HIGH`` when
+    it accepts ``HIGH`` itself; 0 when it rejects ``n = 1``."""
+    if accepts(command, HIGH, tmp):
+        return HIGH
+    lo, hi = 0, HIGH  # accepted at lo (vacuously at 0), rejected at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if accepts(command, mid, tmp):
@@ -84,16 +84,11 @@ def deepest(command: str, high: int, tmp: Path) -> int:
     return lo
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--high", type=int, default=1024,
-                    help="the depth the bisection starts below (default 1024)")
-    args = ap.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
-            n = deepest(command, args.high, Path(tmp))
-            print(f"{command}: {'>= ' if n == args.high else ''}{n}",
-                  flush=True)
+            n = deepest(command, Path(tmp))
+            print(f"{command}: {'>= ' if n == HIGH else ''}{n}", flush=True)
     return 0
 
 
