@@ -134,12 +134,11 @@ def tokenize(text: str, path: str | None = None) -> list:
 class ModelFile:
     """Parsed model: initial term, global rules, element features, options."""
 
-    def __init__(self, term: Pattern | None = None, globals: tuple = (),
-                 elements: dict | None = None, options: dict | None = None):
-        self.term = term
-        self.globals = globals
-        self.elements = {} if elements is None else elements
-        self.options = {} if options is None else options
+    def __init__(self):
+        self.term: Pattern | None = None
+        self.globals: tuple = ()
+        self.elements: dict = {}
+        self.options: dict = {}
 
     def classification(self, strict: bool = True) -> Classification:
         return Classification(dict(self.elements), strict=strict)
@@ -164,8 +163,8 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind != "ident"
+        # an ident's text is never punctuation or a keyword
+        return self.peek().text == text
 
     def eat(self, text: str) -> bool:
         if self.at(text):
@@ -175,7 +174,7 @@ class _Parser:
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.text != text or tok.kind == "eof" and text != "":
+        if tok.text != text:
             self.fail(f"expected {text!r}, found {self._show(tok)}", tok)
         return self.next()
 
@@ -211,7 +210,7 @@ class _Parser:
         if tok.kind == "kw" and tok.text == "loop":
             return self.parse_loop()
         if tok.kind == "kw" and tok.text == "eps":
-            return self.parse_seq()
+            return Seq(self.parse_seq_atoms())
         if self.at("{"):
             return self.parse_rule()
         if self.at("("):
@@ -224,7 +223,7 @@ class _Parser:
             name = self.expect_ident("a term variable name")
             return TermVar(name.text)
         if tok.kind == "ident" or self.at("?") or self.at("~"):
-            return self.parse_seq()
+            return Seq(self.parse_seq_atoms())
         self.fail(f"expected a term, found {self._show(tok)}", tok)
 
     def parse_loop(self) -> Loop:
@@ -238,9 +237,6 @@ class _Parser:
         content = self.parse_par()
         self.expect("]")
         return Loop(membrane, content, False)
-
-    def parse_seq(self) -> Seq:
-        return Seq(self.parse_seq_atoms())
 
     def parse_seq_atoms(self) -> tuple:
         atoms = [*self.parse_seq_atom()]
@@ -313,14 +309,14 @@ class _Parser:
         model = ModelFile()
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "kw" and tok.text == "element":
+            if self.at("element"):
                 self.parse_element_decl(model)
-            elif tok.kind == "kw" and tok.text == "global":
+            elif self.at("global"):
                 self.next()
                 rule = self.parse_global(tok.line, tok.col)
                 model.globals = (*model.globals, rule)
                 self.eat(";")
-            elif tok.kind == "kw" and tok.text == "option":
+            elif self.at("option"):
                 self.parse_option_decl(model)
             else:
                 if model.term is not None:
@@ -483,20 +479,25 @@ def _block(items: list, indent: int, brackets: str = "[]") -> str:
 def _read_term(text: str, memo: dict) -> Pattern:
     """``normalize(parse_pattern_text(text))``, read member by member.
 
-    ``text`` is cut at each `` | `` where the bracket counts balance, and
-    each piece is looked up in ``memo``, keyed by its text, or else read as
-    one item (:func:`_read_item`) and entered there.  A text with a comment
-    or a line break, or one that does not cut into items, is parsed whole,
-    which fails where and as a fresh parse does.
+    ``text`` is looked up in ``memo``, keyed by itself, or else cut at each
+    `` | `` where the bracket counts balance; each piece is looked up in
+    ``memo`` too, or else read as one item (:func:`_read_item`), and the
+    pieces and ``text`` are entered there.  A text with a comment or a line
+    break, or one that does not cut into items, is parsed whole, which
+    fails where and as a fresh parse does, and is not entered: as a cut of
+    a longer text, its comment would run on over what follows it.
     """
-    cuts = text.split(" | ")
-    nodes = [*map(memo.get, cuts)]  # every cut a known member
-    if None in nodes:
-        nodes = (None if "#" in text or "\n" in text
-                 else _read_members(text, cuts, memo))
-        if nodes is None:
-            return normalize(parse_pattern_text(text))
-    return compose(nodes)
+    cuts = text.split(" | ")  # a text that is not a string fails here
+    node = memo.get(text)
+    if node is None:
+        nodes = [*map(memo.get, cuts)]  # every cut a known member
+        if None in nodes:
+            nodes = (None if "#" in text or "\n" in text
+                     else _read_members(text, cuts, memo))
+            if nodes is None:
+                return normalize(parse_pattern_text(text))
+        node = memo[text] = compose(nodes)
+    return node
 
 
 _ONE_BRACKET = str.maketrans("[{]}", "(())")
@@ -551,23 +552,31 @@ def _read_item(text: str, memo: dict):
     return normalize(node) if p.peek().kind == "eof" else None
 
 
-def _local_rule_from_text(text: str) -> LocalRule:
-    return normalize(parse_local_rule_text(text))
+def _parsed(parse, text, memo: dict):
+    """``parse(text)``, run once per distinct text and kept in ``memo`` under
+    ``(parse, text)``: nodes are interned, so a repeat gets the very node a
+    fresh parse returns."""
+    if not isinstance(text, str):
+        return parse(text)  # fails as a fresh parse does
+    node = memo.get((parse, text))
+    if node is None:
+        node = memo[parse, text] = parse(text)
+    return node
 
 
-def _sigma_from_json(sigma: dict, parsed, read_term) -> dict:
+def _sigma_from_json(sigma: dict, memo: dict) -> dict:
     inst = {}
     for key, value in sigma.items():
         kind, name = key[:1], key[1:]
         if kind == "?":
-            atoms = parsed(parse_seq_text, value)
+            atoms = _parsed(parse_seq_text, value, memo)
             if len(atoms) != 1 or not isinstance(atoms[0], Element):
                 raise ValueError(f"image of {key} must be a single element")
             inst[ElemVar(name)] = atoms[0]
         elif kind == "~":
-            inst[SeqVar(name)] = parsed(parse_seq_text, value)
+            inst[SeqVar(name)] = _parsed(parse_seq_text, value, memo)
         elif kind == "$":
-            inst[TermVar(name)] = parsed(read_term, value)
+            inst[TermVar(name)] = _read_term(value, memo)
         else:
             raise ValueError(f"unknown variable kind in {key!r}")
     return inst
@@ -609,38 +618,24 @@ def _trace_from_doc(doc: dict) -> Trace:
     strategy = doc.get("strategy", "maximal")
     k = doc.get("k")
     _check_strategy(strategy, k)
+    # every text of the trace, read once: a term text under itself, a
+    # membrane text under ``(text,)`` (see :func:`_read_item`) and any
+    # other under ``(parse, text)`` (see :func:`_parsed`)
     memo: dict = {}
-
-    def parsed(parse, text):
-        """``parse(text)``, run once per distinct text: nodes are interned,
-        so a repeat gets the very node a fresh parse returns."""
-        if not isinstance(text, str):
-            return parse(text)  # fails as a fresh parse does
-        key = (parse, text)
-        node = memo.get(key)
-        if node is None:
-            node = memo[key] = parse(text)
-        return node
-
-    members: dict = {}
-
-    def read_term(text):
-        return _read_term(text, members)
-
     rounds: list = []
     for step in _array(doc["steps"], "steps"):
         schema = step["schema"]
         if not isinstance(schema, str) or schema not in SCHEMAS:
             raise ValueError(f"schema must be one of {', '.join(SCHEMAS)}")
+        rule = _parsed(parse_global_text if schema == "GRT"
+                       else parse_local_rule_text, step["rule"], memo)
         label = ReductionLabel(
             schema=schema,
-            rule=parsed(parse_global_text if schema == "GRT"
-                        else _local_rule_from_text, step["rule"]),
+            rule=rule if schema == "GRT" else normalize(rule),
             path=tuple(s if s == "loop" else _int(s, "path step")
                        for s in _array(step["path"], "path")),
-            binding=_binding_items(
-                _sigma_from_json(step["sigma"], parsed, read_term)),
-            residue=parsed(read_term, step["residue"]),
+            binding=_binding_items(_sigma_from_json(step["sigma"], memo)),
+            residue=_read_term(step["residue"], memo),
         )
         rnum = _int(step["round"], "round")
         if rnum == len(rounds) + 1:
@@ -650,9 +645,9 @@ def _trace_from_doc(doc: dict) -> Trace:
                              f" a step, not {rnum} after {len(rounds)}")
         rounds[-1].append(label)
     return Trace(
-        initial=parsed(read_term, doc["initial"]),
+        initial=_read_term(doc["initial"], memo),
         rounds=tuple(map(tuple, rounds)),
-        final=parsed(read_term, doc["final"]),
+        final=_read_term(doc["final"], memo),
         seed=seed,
         strategy=strategy,
         k=k,

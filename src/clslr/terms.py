@@ -80,6 +80,7 @@ class _Node:
     """Base class of every interned node; :func:`_node` completes each one."""
 
     __slots__ = ()
+    _names = ()  # the fields; :func:`_node` sets them per class
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names)
@@ -298,11 +299,6 @@ def seq(*names: str | Atom) -> Seq:
 
 def par(*parts: Pattern) -> Pattern:
     return Par(tuple(parts))
-
-
-def loop(membrane: Seq | tuple[Atom, ...], content: Pattern) -> Loop:
-    mem = membrane.items if isinstance(membrane, Seq) else tuple(membrane)
-    return Loop(mem, content, False)
 
 
 # --------------------------------------------------------------------------

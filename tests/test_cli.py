@@ -74,6 +74,23 @@ def test_typecheck_permissive_warns(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "term: ∅"
 
 
+def test_typecheck_reports_a_global_that_does_not_type(tmp_path, capsys):
+    p = tmp_path / "m.clslr"
+    p.write_text("element a : {} ; element m : {} ;\n"
+                 "global loop(m)[{ ?x => ?x | ?x }] => a ;\na\n")
+    assert main(["typecheck", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "global 1: does not type (compartment: {r} exceeds {}"
+        " in loop(m)[{ ?x => ?x | ?x }])\n")
+
+
+def test_typecheck_of_a_model_without_a_term(tmp_path, capsys):
+    p = tmp_path / "m.clslr"
+    p.write_text("element a : {}\n")
+    assert main(["typecheck", str(p)]) == 0
+    assert capsys.readouterr().out == "term: none\n"
+
+
 def test_run_text_trace(capsys):
     assert main(["run", MODEL, "--lambda", LAMBDA, "--typed",
                  "--steps", "2"]) == 0
@@ -213,6 +230,17 @@ def test_match_cap_flag_trips(tmp_path, capsys):
     p.write_text("global ~x.~y => ~x ;\na.a.a.a.a.a\n")
     assert main(["run", str(p), "--match-cap", "3"]) == 1
     assert "match" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("cap, status", [("8", 1), ("100", 0)])
+def test_match_cap_option_bounds_the_run(tmp_path, capsys, cap, status):
+    # a lone $X over four members tries 2^4 candidates
+    p = tmp_path / "m.clslr"
+    p.write_text(f"option match_cap {cap}\na | b | c | d | {{ $X => $X }}\n")
+    argv = ["run", str(p), "--strategy", "random-k", "--k", "1"]
+    assert main(argv) == status
+    assert capsys.readouterr().err == (
+        f"{p}:1:1: match exceeded the candidate cap of 8\n" if status else "")
 
 
 @pytest.mark.parametrize("value", ["0", "00"])
@@ -381,6 +409,41 @@ def test_replay_reads_only_known_schemas_and_arrays(
     assert main(["replay", str(tr)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{tr}:1:1: malformed trace document: "), err
+
+
+def element_variable_trace(tmp_path) -> Path:
+    """The one-step JSON trace of ``a | b | { ?x => c }``."""
+    model = tmp_path / "m.clslr"
+    model.write_text("a | b | { ?x => c }\n")
+    tr = tmp_path / "out.trace.json"
+    assert main(["run", str(model), "--steps", "1", "--format", "json",
+                 "--out", str(tr)]) == 0
+    return tr
+
+
+def test_replay_reads_element_variable_bindings(tmp_path, capsys):
+    tr = element_variable_trace(tmp_path)
+    doc = json.loads(tr.read_text())
+    assert [step["sigma"] for step in doc["steps"]] == [{"?x": "a"},
+                                                        {"?x": "b"}]
+    capsys.readouterr()
+    assert main(["replay", str(tr)]) == 0
+    assert capsys.readouterr().out == "ok: c | c | { ?x => c }\n"
+
+
+@pytest.mark.parametrize("key, image, message", [
+    ("?x", "a.b", "image of ?x must be a single element"),
+    ("%x", "a", "unknown variable kind in '%x'"),
+])
+def test_replay_rejects_a_binding_it_cannot_read(tmp_path, capsys, key,
+                                                 image, message):
+    tr = element_variable_trace(tmp_path)
+    doc = json.loads(tr.read_text())
+    doc["steps"][0]["sigma"] = {key: image}
+    tr.write_text(json.dumps(doc))
+    assert main(["replay", str(tr)]) == 1
+    assert capsys.readouterr().err == (
+        f"{tr}:1:1: malformed trace document: {message}\n")
 
 
 @functools.cache

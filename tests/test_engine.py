@@ -152,6 +152,10 @@ def test_global_rhs_needing_unmatchable_binding_is_skipped():
     assert labels == []
 
 
+def test_global_rhs_with_an_unbound_term_variable_is_skipped():
+    assert find_redexes([GlobalRule(P("a"), TermVar("Y"))], P("a")) == []
+
+
 def test_global_rewrite_takes_whole_multiset():
     t = P("a | a | b")
     labels = find_redexes([G("a | a => c")], t)

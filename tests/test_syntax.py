@@ -569,6 +569,13 @@ def test_each_term_read_is_the_normal_form_of_its_text():
     assert read > 1000
 
 
+def test_a_text_read_whole_is_not_reused_as_a_member():
+    # the comment runs to the end of the line, over the second member
+    doc = {"steps": [], "initial": "a # c", "final": "a # c | a # c"}
+    tr = trace_from_json(json.dumps(doc))
+    assert tr.initial is tr.final is normalize(P("a"))
+
+
 @functools.cache
 def random_residues() -> tuple:
     """The residue texts of ``random_model`` runs."""

@@ -22,6 +22,7 @@ from clslr.terms import (
     Loop,
     OutRule,
     Par,
+    Pattern,
     PlainRule,
     Seq,
     SeqVar,
@@ -40,8 +41,15 @@ from clslr.terms import (
     splice,
 )
 from clslr import bundled_model, terms
+from clslr.matching import match, subst_seq, substitute
 from clslr.syntax import parse_model
-from clslr.typecheck import Classification
+from clslr.typecheck import (
+    Classification,
+    UnknownElementError,
+    infer_basis,
+    membrane_type,
+    pattern_type,
+)
 from clslr.typed import typed_run
 
 from oracles import (
@@ -191,6 +199,39 @@ def test_nodes_are_immutable_and_repr_their_fields():
     assert repr(node) == ("Loop(membrane=(Element(name='a'),), "
                           "content=Seq(items=(Element(name='b'),)), "
                           "mem_frozen=False)")
+
+
+NOT_PATTERNS = [3, Pattern(), Element("a")]
+NOT_PATTERN_IDS = ["int", "Pattern", "Element"]
+PATTERN_WALKS = {
+    "normalize": normalize, "canonical_text": canonical_text,
+    "has_marks": has_marks, "is_ground": is_ground, "erase": erase,
+    "substitute": lambda p: substitute(p, {}),
+    "match": lambda p: match(p, EPS),
+    "pattern_type": lambda p: pattern_type({}, Classification({}), p),
+}
+
+
+@pytest.mark.parametrize("walk", PATTERN_WALKS.values(), ids=PATTERN_WALKS)
+@pytest.mark.parametrize("node", NOT_PATTERNS, ids=NOT_PATTERN_IDS)
+def test_what_is_not_a_pattern_is_named_in_a_type_error(walk, node):
+    with pytest.raises(TypeError, match=r"^not a pattern: "):
+        walk(node)
+
+
+@pytest.mark.parametrize("node", NOT_PATTERNS, ids=NOT_PATTERN_IDS)
+def test_what_is_not_an_atom_or_a_variable_is_named_in_a_type_error(node):
+    if isinstance(node, Element):
+        assert subst_seq((node,), {}) == (node,)
+        with pytest.raises(UnknownElementError):
+            membrane_type({}, Classification({}), (node,))
+    else:
+        with pytest.raises(TypeError, match=r"^not an atom: "):
+            subst_seq((node,), {})
+        with pytest.raises(TypeError, match=r"^not an atom: "):
+            membrane_type({}, Classification({}), (node,))
+    with pytest.raises(TypeError, match=r"^not a variable: "):
+        infer_basis({node: EPS}, Classification({}))
 
 
 def test_retained_memory_follows_the_live_term():

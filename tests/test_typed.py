@@ -150,6 +150,13 @@ def test_typed_parallel_reduce_matches_untyped_when_all_admitted():
     assert normalize(typed.final) == normalize(untyped.final)
 
 
+def test_subject_reduction_fails_when_the_before_term_does_not_type():
+    classif = Classification({"a": F(), "m": F()})
+    # the rule needs {r} of a membrane that grants nothing
+    assert not subject_reduction_check(P("loop(m)[{ ?x => ?x | ?x }]"),
+                                       P("a"), classif)
+
+
 def test_subject_reduction_on_golden_run():
     from pathlib import Path
     from clslr import bundled_model
