@@ -175,7 +175,7 @@ def _match_cap(args, model: ModelFile) -> int:
         cap = None
     if cap is None or cap < 1:
         raise ModelSyntaxError("option match_cap needs an integer of at least 1",
-                               1, 1, args.model)
+                               *model.option_at["match_cap"], args.model)
     return cap
 
 

@@ -139,6 +139,7 @@ class ModelFile:
         self.globals: tuple = ()
         self.elements: dict = {}
         self.options: dict = {}
+        self.option_at: dict = {}  # option name -> (line, col) of its keyword
 
     def classification(self, strict: bool = True) -> Classification:
         return Classification(dict(self.elements), strict=strict)
@@ -355,7 +356,7 @@ class _Parser:
         return self.well_formed(GlobalRule(lhs, self.parse_par()), line, col)
 
     def parse_option_decl(self, model: ModelFile):
-        self.expect("option")
+        keyword = self.expect("option")
         name = self.expect_ident("an option name")
         value = ""  # a value sits on the option's own line
         tok = self.peek()
@@ -363,6 +364,7 @@ class _Parser:
             value = self.next().text
         self.eat(";")
         model.options[name.text] = value
+        model.option_at[name.text] = keyword.line, keyword.col
 
 
 # --------------------------------------------------------------------------
@@ -533,29 +535,63 @@ def _read_members(text: str, cuts: list, memo: dict):
 
 def _read_item(text: str, memo: dict):
     """``normalize`` of the one item ``text`` holds, or None when it does
-    not parse as exactly one item.  The content of a membrane
-    ``loop(SEQ)[TERM]`` is read by :func:`_read_term`, so that its members
-    are looked up in ``memo`` too, and ``memo`` keeps the least rotation of
-    ``SEQ`` under the key ``(SEQ,)``."""
+    not parse as exactly one item.  A plain sequence is split (see
+    :func:`_plain_atoms`).  The content of a membrane ``loop(SEQ)[TERM]``
+    is read by :func:`_read_term`, so that its members are looked up in
+    ``memo`` too, and ``memo`` keeps the least rotation of ``SEQ`` under the
+    key ``(SEQ,)``.  A local rule is also entered under
+    ``(parse_local_rule_text, text)``, as a step's rule text is (see
+    :func:`_parsed`); ``text``, a member, holds no comment or line break.
+    """
+    atoms = _plain_atoms(text)
+    if atoms:
+        return Seq(atoms)  # a sequence of elements is its own normal form
     try:
         if text.startswith("loop(") and text.endswith("]"):
             seq, bracket, content = text[5:-1].partition(")[")
             if bracket:
                 membrane = memo.get((seq,))
                 if membrane is None:
-                    membrane = memo[seq,] = min_rotation(parse_seq_text(seq))
+                    membrane = memo[seq,] = min_rotation(_seq_atoms(seq))
                 return wrap(membrane, _read_term(content, memo), False)
         p = _Parser(tokenize(text))
         node = p.parse_item()
     except (ModelSyntaxError, RecursionError):
         return None
-    return normalize(node) if p.peek().kind == "eof" else None
+    if p.peek().kind != "eof":
+        return None
+    node = normalize(node)
+    # ``({ a => b })`` is an item but not a local rule text
+    if text.lstrip(" \t\r").startswith("{"):
+        memo[parse_local_rule_text, text] = node
+    return node
+
+
+# a plain sequence: words of the tokenizer's ``word``, joined by single dots
+_PLAIN_SEQ = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*")
+
+
+def _plain_atoms(text: str):
+    """The elements of ``text`` when it is a plain sequence and no word of
+    it a keyword, which is what the parser reads it as; else None."""
+    if _PLAIN_SEQ.fullmatch(text):
+        words = text.split(".")
+        if KEYWORDS.isdisjoint(words):
+            return tuple(map(Element, words))
+    return None
+
+
+def _seq_atoms(text: str) -> tuple:
+    """``parse_seq_text(text)``, splitting a plain sequence."""
+    return _plain_atoms(text) or parse_seq_text(text)
 
 
 def _parsed(parse, text, memo: dict):
     """``parse(text)``, run once per distinct text and kept in ``memo`` under
     ``(parse, text)``: nodes are interned, so a repeat gets the very node a
-    fresh parse returns."""
+    fresh parse returns.  Under ``(parse_local_rule_text, text)``, a local
+    rule read as a member keeps its normal form (see :func:`_read_item`),
+    which is what a step makes of the rule."""
     if not isinstance(text, str):
         return parse(text)  # fails as a fresh parse does
     node = memo.get((parse, text))
@@ -569,12 +605,12 @@ def _sigma_from_json(sigma: dict, memo: dict) -> dict:
     for key, value in sigma.items():
         kind, name = key[:1], key[1:]
         if kind == "?":
-            atoms = _parsed(parse_seq_text, value, memo)
+            atoms = _parsed(_seq_atoms, value, memo)
             if len(atoms) != 1 or not isinstance(atoms[0], Element):
                 raise ValueError(f"image of {key} must be a single element")
             inst[ElemVar(name)] = atoms[0]
         elif kind == "~":
-            inst[SeqVar(name)] = _parsed(parse_seq_text, value, memo)
+            inst[SeqVar(name)] = _parsed(_seq_atoms, value, memo)
         elif kind == "$":
             inst[TermVar(name)] = _read_term(value, memo)
         else:
@@ -620,18 +656,26 @@ def _trace_from_doc(doc: dict) -> Trace:
     _check_strategy(strategy, k)
     # every text of the trace, read once: a term text under itself, a
     # membrane text under ``(text,)`` (see :func:`_read_item`) and any
-    # other under ``(parse, text)`` (see :func:`_parsed`)
+    # other under ``(parse, text)`` (see :func:`_parsed`); a local rule
+    # text under both, whichever field it is met in first
     memo: dict = {}
     rounds: list = []
     for step in _array(doc["steps"], "steps"):
         schema = step["schema"]
         if not isinstance(schema, str) or schema not in SCHEMAS:
             raise ValueError(f"schema must be one of {', '.join(SCHEMAS)}")
-        rule = _parsed(parse_global_text if schema == "GRT"
-                       else parse_local_rule_text, step["rule"], memo)
+        text = step["rule"]
+        if schema == "GRT":
+            rule = _parsed(parse_global_text, text, memo)
+        else:
+            rule = normalize(_parsed(parse_local_rule_text, text, memo))
+            # read as a term, the text is this rule, unless a comment hides
+            # what follows it as a member (see :func:`_read_term`)
+            if "#" not in text and "\n" not in text:
+                memo[text] = rule
         label = ReductionLabel(
             schema=schema,
-            rule=rule if schema == "GRT" else normalize(rule),
+            rule=rule,
             path=tuple(s if s == "loop" else _int(s, "path step")
                        for s in _array(step["path"], "path")),
             binding=_binding_items(_sigma_from_json(step["sigma"], memo)),

@@ -225,6 +225,14 @@ def test_match_cap_option_must_be_integer(tmp_path, capsys):
     assert "match_cap needs an integer" in capsys.readouterr().err
 
 
+def test_bad_match_cap_option_is_reported_where_it_is(tmp_path, capsys):
+    p = tmp_path / "m.clslr"
+    p.write_text("# a model\n\noption match_cap lots ;\na | { a => b }")
+    assert main(["run", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{p}:3:1: option match_cap needs an integer of at least 1")
+
+
 def test_match_cap_flag_trips(tmp_path, capsys):
     p = tmp_path / "m.clslr"
     p.write_text("global ~x.~y => ~x ;\na.a.a.a.a.a\n")

@@ -18,6 +18,7 @@ from clslr.matching import (
     subst_seq,
     substitute,
 )
+from clslr.syntax import parse_global_text, parse_pattern_text
 from clslr.terms import (
     EPS,
     Element,
@@ -144,6 +145,25 @@ def test_match_loop_against_eps():
     p = Loop((u,), X)
     res = match(p, EPS)
     assert res == [{u: (), X: EPS}]
+
+
+def test_term_variable_bound_in_one_compartment_must_match_the_next():
+    # the second loop's $X is already bound when its content is reached
+    rule = parse_global_text("loop(m)[$X] | loop(n)[$X] => b")
+    same = normalize(parse_pattern_text("loop(m)[a] | loop(n)[a]"))
+    labels = find_redexes([rule], same)
+    assert [(lbl.schema, lbl.binding_dict()) for lbl in labels] == [
+        ("GRT", {X: seq("a")})]
+    other = normalize(parse_pattern_text("loop(m)[a] | loop(n)[c]"))
+    assert find_redexes([rule], other) == []
+
+
+def test_out_rule_in_an_empty_membrane_runs_its_rotations_out():
+    # find_redexes exhausts match_seq_rotations over the membrane ()
+    t = normalize(parse_pattern_text("loop(eps)[a | { a ^ ~x => a ^ ~x }]"))
+    labels = find_redexes([], t)
+    assert [(lbl.schema, lbl.path, lbl.binding_dict()) for lbl in labels] == [
+        ("LR-Out", (), {SeqVar("x"): ()})]
 
 
 def test_match_rule_occurrence_by_equality():

@@ -576,6 +576,76 @@ def test_a_text_read_whole_is_not_reused_as_a_member():
     assert tr.initial is tr.final is normalize(P("a"))
 
 
+def test_reading_the_golden_trace_tokenizes_each_rule_text_once(monkeypatch):
+    # every other text of it is a plain sequence, split at its dots, or eps
+    text = trace_to_json(golden_trace())
+    steps = json.loads(text)["steps"]
+    rules = {step["rule"] for step in steps}
+    assert len(rules) > 1 and all(step["schema"] != "GRT" for step in steps)
+    seen = tokenized_texts(monkeypatch, text)
+    assert {rule: seen[rule] for rule in rules} == dict.fromkeys(rules, 1)
+    assert set(seen) - rules == {"eps"}
+
+
+def reads_as_fresh_parse(doc: dict, parse, text: str, get):
+    """Reading ``doc`` gives ``parse(text)`` where ``get`` looks, or fails
+    with the error type and text that ``parse(text)`` fails with."""
+    try:
+        want = parse(text)
+    except ModelSyntaxError as exc:
+        with pytest.raises(ModelSyntaxError) as got:
+            trace_from_json(json.dumps(doc))
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert get(trace_from_json(json.dumps(doc))) == want
+
+
+@pytest.mark.parametrize("field", ["residue", "initial", "~x"])
+@pytest.mark.parametrize("text", ["eps", "a.eps", "loop", "a..b", ".a", "a .b",
+                                  "0x", "_", "é", "a # c"])
+def test_sequence_text_reads_as_a_fresh_parse(field, text):
+    _, tr = trace_fixture()
+    doc = json.loads(trace_to_json(tr))
+    i, step = next((i, step) for i, step in enumerate(doc["steps"])
+                   if "~x" in step["sigma"])
+    if field == "~x":
+        step["sigma"]["~x"] = text
+        reads_as_fresh_parse(doc, parse_seq_text, text,
+                             lambda t: t.labels[i].binding_dict()[SeqVar("x")])
+    elif field == "residue":
+        step["residue"] = f"b | {text}"
+        reads_as_fresh_parse(doc, lambda s: normalize(P(s)), step["residue"],
+                             lambda t: t.labels[i].residue)
+    else:
+        doc["initial"] = f"{text} | {doc['initial']}"
+        reads_as_fresh_parse(doc, lambda s: normalize(P(s)), doc["initial"],
+                             lambda t: t.initial)
+
+
+def test_a_rule_text_with_a_comment_is_not_reused_as_a_member():
+    # the comment hides the member after it, so the text is read whole
+    step = {"round": 1, "schema": "LR", "rule": "{ a => b } # c", "path": [],
+            "sigma": {}, "residue": "b"}
+    doc = {"steps": [step], "initial": "{ a => b } # c | b", "final": "b"}
+    tr = trace_from_json(json.dumps(doc))
+    assert tr.initial is tr.labels[0].rule is normalize(P("{ a => b }"))
+
+
+def test_a_bracketed_rule_member_is_not_reused_as_a_rule_text():
+    # ``({ a => b })`` is an item, which parse_local_rule_text rejects
+    text = "({ a => b })"
+    steps = [{"round": 1, "schema": "LR", "rule": "{ a => b }", "path": [],
+              "sigma": {}, "residue": f"b | {text}"},
+             {"round": 2, "schema": "LR", "rule": text, "path": [],
+              "sigma": {}, "residue": "b"}]
+    doc = {"steps": steps, "initial": "a", "final": "b"}
+    reads_as_fresh_parse(doc, parse_local_rule_text, text,
+                         lambda t: t.labels[1].rule)
+    steps[1]["rule"] = "{ a => b }"
+    reads_as_fresh_parse(doc, lambda s: normalize(P(s)), steps[0]["residue"],
+                         lambda t: t.labels[0].residue)
+
+
 @functools.cache
 def random_residues() -> tuple:
     """The residue texts of ``random_model`` runs."""

@@ -8,6 +8,10 @@ Builds op 0 of a workload with the benchmark's own generator
 op, counting the ``opcode`` events that ``sys.settrace`` delivers in each,
 attributed to the function whose frame executed them:
 
+- setup: ``parse_model`` of the model and of its lambda file,
+  ``merge_elements`` and ``classification()``, as a benchmark worker's
+  set-up runs them (interpreter start and ``import clslr`` are not
+  counted);
 - run: ``typed_run`` or ``run``, as the op says (``trace_to_json`` is not
   counted);
 - read: ``trace_from_json`` of that text;
@@ -62,7 +66,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def op_phases(workload: str, seed: int, steps: int):
-    """``(phase, counts)`` for the four phases of op 0 of ``workload``, in
+    """``(phase, counts)`` for the five phases of op 0 of ``workload``, in
     order; a ``mito`` op runs ``steps`` steps.
 
     The phases run one after the other in this process and the trace stays
@@ -77,14 +81,19 @@ def op_phases(workload: str, seed: int, steps: int):
     op = GENERATORS[workload](ROOT, seed, 0)
     if workload == "mito":
         op["steps"] = steps
-    model = syntax.parse_model(op["model"])
-    if op["lambda"]:
-        lam = syntax.parse_model(op["lambda"])
-        model.elements = syntax.merge_elements(model.elements, lam.elements)
+
+    def setup():
+        model = syntax.parse_model(op["model"])
+        if op["lambda"]:
+            lam = syntax.parse_model(op["lambda"])
+            model.elements = syntax.merge_elements(model.elements,
+                                                   lam.elements)
+        return model, model.classification()
+
+    (model, classif), setup_counts = count_opcodes(setup)
     options = dict(steps=op["steps"], strategy=op["strategy"], seed=op["seed"],
                    k=op["k"])
     if op["typed"]:
-        classif = model.classification()
         go = lambda: typed_run(model.term, model.globals, classif, **options)
     else:
         go = lambda: run(model.term, model.globals, **options)
@@ -96,7 +105,7 @@ def op_phases(workload: str, seed: int, steps: int):
     final, replay_counts = count_opcodes(lambda: replay(loaded))
     if not ok or final != trace.final or loaded != trace:
         raise SystemExit(f"the {workload} trace does not read back and replay")
-    return [("run", run_counts), ("read", read_counts),
+    return [("setup", setup_counts), ("run", run_counts), ("read", read_counts),
             ("verify", verify_counts), ("replay", replay_counts)]
 
 
