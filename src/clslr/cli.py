@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .engine import (
@@ -208,10 +209,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _path_text(path: tuple) -> str:
-    return "/" + "/".join(str(s) for s in path)
-
-
 def _trace_text(trace: Trace) -> str:
     lines = [f"strategy: {trace.strategy}"
              + (f" k={trace.k}" if trace.k is not None else "")
@@ -221,7 +218,7 @@ def _trace_text(trace: Trace) -> str:
         lines.append(f"round {rnum}:")
         for lbl in rnd:
             lines.append(f"  [{lbl.schema}] {rule_text(lbl.rule)}  "
-                         f"at {_path_text(lbl.path)}")
+                         f"at /{'/'.join(map(str, lbl.path))}")
     lines.append(f"final: {render(trace.final)}")
     return "\n".join(lines) + "\n"
 
@@ -242,6 +239,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     args.parser_error = ap.error
     primary = getattr(args, "model", None) or getattr(args, "trace", "clslr")
+    # a warning names the input file, not the line of clslr that issued it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = (
+        lambda message, *_: f"{primary}: warning: {message}\n")
     try:
         return args.func(args)
     except (ModelSyntaxError, TypingError, MatchCapError, StepCapError,
@@ -253,6 +254,8 @@ def main(argv=None) -> int:
         print(f"{err.filename or primary}: {err.strerror or err}",
               file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -277,10 +277,12 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
                  budget: _Budget):
     """The labels at one site of ``mt``; ``loop`` encloses it (None at root).
 
-    Each comes with its match ``(rhs, rhs_mem, members, used, held,
-    crossed)``: the instantiated right side as :func:`_instantiate` gives
-    it, the site's members, the indices of the matched material, and
-    ``held`` and ``crossed`` as :func:`_candidates` gives them.
+    A label comes from each match of a candidate rule's left side that uses
+    material and binds every variable of the right side.  Each comes with
+    its match ``(rhs, rhs_mem, members, used, held, crossed)``: the
+    instantiated right side as :func:`_instantiate` gives it, the site's
+    members, the indices of the matched material, and ``held`` and
+    ``crossed`` as :func:`_candidates` gives them.
     """
     members = members_of(mt if loop is None else loop.content)
     marked = marked_indices(members)
@@ -292,8 +294,17 @@ def _site_labels(rules, mt: Pattern, site_path: tuple, loop,
         m_insts = (({},) if crossed is None else match_seq_rotations(
             rule.lhs_mem, crossed.membrane, {}, budget))
         for m_inst in m_insts:
-            for inst, used, rhs, rhs_mem in _hits(rule, members, pool,
-                                                  m_inst, budget):
+            lhs = members_of(normalize(rule.lhs))
+            for inst, used in match_parts(lhs, members, pool, m_inst, budget,
+                                          require_all=False):
+                if not used:
+                    continue
+                try:
+                    rhs, rhs_mem = _instantiate(rule, inst)
+                except UnboundVariableError:
+                    # a match never invents bindings; skip redexes whose
+                    # rhs needs one
+                    continue
                 yield (ReductionLabel(
                     schema, rule, path, _binding_items(inst),
                     _residue(schema, members, {*held, *used}, crossed,
@@ -326,23 +337,6 @@ def _candidates(schemas, rules, site_path: tuple, loop, members: tuple,
                         yield schema, occ, site_path, (ri, li), m
             elif loop is not None and not loop.mem_frozen:
                 yield schema, occ, site_path[:-1], (ri,), loop
-
-
-def _hits(rule, members: tuple, pool: tuple, m_inst: dict, budget: _Budget):
-    """``(inst, used, rhs, rhs_mem)`` for each match of ``rule``'s lhs that
-    uses material and binds every variable of the right side, which
-    :func:`_instantiate` gives as ``rhs, rhs_mem``."""
-    lhs = members_of(normalize(rule.lhs))
-    for inst, used in match_parts(lhs, members, pool, m_inst, budget,
-                                  require_all=False):
-        if not used:
-            continue
-        try:
-            rhs, rhs_mem = _instantiate(rule, inst)
-        except UnboundVariableError:
-            # a match never invents bindings; skip redexes whose rhs needs one
-            continue
-        yield inst, used, rhs, rhs_mem
 
 
 def _instantiate(rule, inst: dict) -> tuple:

@@ -182,8 +182,6 @@ def _match(p: Pattern, t: Pattern, inst: Instantiation, budget: _Budget):
         for inst2, used in match_parts(list(p.parts), members, pool, inst, budget,
                                        require_all=True):
             yield inst2
-        return
-    raise TypeError(f"not a pattern: {p!r}")
 
 
 def _match_seq(pat: tuple[Atom, ...], term: tuple[Atom, ...],

@@ -279,9 +279,8 @@ class _Parser:
             if marker is not None:
                 tok = self.peek()
                 if not self.eat(marker):
-                    want = "'^'" if marker == "^" else "'@'"
-                    self.fail(f"rule right side must repeat {want} and a membrane",
-                              tok)
+                    self.fail(f"rule right side must repeat {marker!r} and a "
+                              f"membrane", tok)
                 rhs_mem = self.parse_seq_atoms()
             elif self.at("^") or self.at("@"):
                 self.fail("rule left side is missing its membrane", self.peek())
@@ -478,59 +477,47 @@ def _block(items: list, indent: int, brackets: str = "[]") -> str:
             f"\n{' ' * (indent - 2)}{brackets[1]}")
 
 
+_ONE_BRACKET = str.maketrans("[{]}", "(())")
+
+
 def _read_term(text: str, memo: dict) -> Pattern:
     """``normalize(parse_pattern_text(text))``, read member by member.
 
     ``text`` is looked up in ``memo``, keyed by itself, or else cut at each
-    `` | `` where the bracket counts balance; each piece is looked up in
-    ``memo`` too, or else read as one item (:func:`_read_item`), and the
-    pieces and ``text`` are entered there.  A text with a comment or a line
-    break, or one that does not cut into items, is parsed whole, which
-    fails where and as a fresh parse does, and is not entered: as a cut of
-    a longer text, its comment would run on over what follows it.
+    `` | `` where the bracket depth, all three kinds counted alike, is back
+    to zero; each piece is looked up in ``memo`` too, or else read as one
+    item (:func:`_read_item`), and the pieces and ``text`` are entered
+    there.  A text with a comment or a line break, one whose depth goes
+    below zero or never comes back, and one with a piece that does not read
+    as one item are parsed whole, which fails where and as a fresh parse
+    does, and are not entered: as a cut of a longer text, a comment would
+    run on over what follows it.
     """
     cuts = text.split(" | ")  # a text that is not a string fails here
     node = memo.get(text)
-    if node is None:
-        nodes = [*map(memo.get, cuts)]  # every cut a known member
-        if None in nodes:
-            nodes = (None if "#" in text or "\n" in text
-                     else _read_members(text, cuts, memo))
-            if nodes is None:
-                return normalize(parse_pattern_text(text))
-        node = memo[text] = compose(nodes)
-    return node
-
-
-_ONE_BRACKET = str.maketrans("[{]}", "(())")
-
-
-def _read_members(text: str, cuts: list, memo: dict):
-    """The members of ``text``, cut into ``cuts`` at each `` | ``, or None.
-
-    Consecutive cuts are joined back into one piece until the bracket
-    depth, all three kinds counted alike, is back to zero.  None when it
-    goes below zero or never comes back, or a piece does not read.
-    """
+    if node is not None:
+        return node
     # the depth after each cut, counted in a copy with one kind of bracket
     flat = text.translate(_ONE_BRACKET).split(" | ")
     opened = map(str.count, flat, repeat("("))
     closed = map(str.count, flat, repeat(")"))
     depths = [*accumulate(map(sub, opened, closed))]
-    if depths[-1] or min(depths) < 0:
-        return None
-    nodes, start = [], 0
-    for end in compress(count(1), map(not_, depths)):
-        piece = " | ".join(cuts[start:end])
-        start = end
-        node = memo.get(piece)
-        if node is None:
-            node = _read_item(piece, memo)
+    if not ("#" in text or "\n" in text or depths[-1] or min(depths) < 0):
+        nodes, start = [], 0
+        for end in compress(count(1), map(not_, depths)):
+            piece = " | ".join(cuts[start:end])
+            start = end
+            node = memo.get(piece)
             if node is None:
-                return None
-            memo[piece] = node
-        nodes.append(node)
-    return nodes
+                node = _read_item(piece, memo)
+                if node is None:
+                    break
+                memo[piece] = node
+            nodes.append(node)
+        else:
+            node = memo[text] = compose(nodes)
+            return node
+    return normalize(parse_pattern_text(text))
 
 
 def _read_item(text: str, memo: dict):
@@ -538,10 +525,11 @@ def _read_item(text: str, memo: dict):
     not parse as exactly one item.  A plain sequence is split (see
     :func:`_plain_atoms`).  The content of a membrane ``loop(SEQ)[TERM]``
     is read by :func:`_read_term`, so that its members are looked up in
-    ``memo`` too, and ``memo`` keeps the least rotation of ``SEQ`` under the
-    key ``(SEQ,)``.  A local rule is also entered under
-    ``(parse_local_rule_text, text)``, as a step's rule text is (see
-    :func:`_parsed`); ``text``, a member, holds no comment or line break.
+    ``memo`` too, and ``SEQ`` through :func:`_parsed`, under the key a
+    ``?x`` or ``~x`` image of the same text uses.  A local rule is also
+    entered under ``(parse_local_rule_text, text)``, as a step's rule text
+    is (see :func:`_parsed`); ``text``, a member, holds no comment or line
+    break.
     """
     atoms = _plain_atoms(text)
     if atoms:
@@ -550,9 +538,7 @@ def _read_item(text: str, memo: dict):
         if text.startswith("loop(") and text.endswith("]"):
             seq, bracket, content = text[5:-1].partition(")[")
             if bracket:
-                membrane = memo.get((seq,))
-                if membrane is None:
-                    membrane = memo[seq,] = min_rotation(_seq_atoms(seq))
+                membrane = min_rotation(_parsed(_seq_atoms, seq, memo))
                 return wrap(membrane, _read_term(content, memo), False)
         p = _Parser(tokenize(text))
         node = p.parse_item()
@@ -654,10 +640,9 @@ def _trace_from_doc(doc: dict) -> Trace:
     strategy = doc.get("strategy", "maximal")
     k = doc.get("k")
     _check_strategy(strategy, k)
-    # every text of the trace, read once: a term text under itself, a
-    # membrane text under ``(text,)`` (see :func:`_read_item`) and any
-    # other under ``(parse, text)`` (see :func:`_parsed`); a local rule
-    # text under both, whichever field it is met in first
+    # every text of the trace, read once: a term text under itself and any
+    # other text under ``(parse, text)`` (see :func:`_parsed`); a local
+    # rule text under both, whichever field it is met in first
     memo: dict = {}
     rounds: list = []
     for step in _array(doc["steps"], "steps"):

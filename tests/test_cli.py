@@ -74,6 +74,23 @@ def test_typecheck_permissive_warns(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "term: ∅"
 
 
+@pytest.mark.parametrize("command", [["typecheck"], ["run", "--typed"]])
+def test_permissive_warning_names_the_model_file(tmp_path, command):
+    # in a child process: in-process, pytest takes the warning off stderr
+    p = tmp_path / "m.clslr"
+    p.write_text("loop(m)[a | { a => b }]\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = prepend(SRC, env.get("PYTHONPATH"))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "clslr.cli", *command, str(p),
+         "--permissive-lambda"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        f"{p}: warning: unclassified element 'm' assigned the empty type\n")
+
+
 def test_typecheck_reports_a_global_that_does_not_type(tmp_path, capsys):
     p = tmp_path / "m.clslr"
     p.write_text("element a : {} ; element m : {} ;\n"

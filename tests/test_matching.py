@@ -34,6 +34,7 @@ from clslr.terms import (
     members_of,
     normalize,
     par,
+    pattern_vars,
     seq,
     sub_bag,
 )
@@ -164,6 +165,26 @@ def test_out_rule_in_an_empty_membrane_runs_its_rotations_out():
     labels = find_redexes([], t)
     assert [(lbl.schema, lbl.path, lbl.binding_dict()) for lbl in labels] == [
         ("LR-Out", (), {SeqVar("x"): ()})]
+
+
+@pytest.mark.parametrize("call, want", [
+    # ``_subst`` reaches inside frozen material
+    (lambda: substitute(Frozen(X), {X: seq("a")}), Frozen(seq("a"))),
+    # ``is_ground`` stops at the variable, so ``_subst`` meets the 5
+    (lambda: substitute(Par((X, 5)), {X: EPS}), "not a pattern: 5"),
+    # frozen material matches nothing
+    (lambda: match(X, Frozen(seq("a"))), []),
+    # only a hand-built ``Seq`` holds a non-atom
+    (lambda: match(Seq((EPS,)), Seq((EPS,))), "not an atom: Seq(items=())"),
+    (lambda: pattern_vars(Frozen(X)), {X}),
+], ids=["substitute-frozen", "substitute-non-pattern", "match-frozen",
+        "match-non-atom", "pattern-vars-frozen"])
+def test_frozen_material_and_stray_values_take_their_own_branches(call, want):
+    try:
+        got = call()
+    except TypeError as err:
+        got = str(err)
+    assert got == want
 
 
 def test_match_rule_occurrence_by_equality():

@@ -587,6 +587,24 @@ def test_reading_the_golden_trace_tokenizes_each_rule_text_once(monkeypatch):
     assert set(seen) - rules == {"eps"}
 
 
+def test_a_sequence_text_met_as_an_image_and_a_membrane_is_parsed_once(
+        monkeypatch):
+    # ``eps`` is the step's ``~x`` image and a membrane in ``initial``
+    text = trace_to_json(run(P("loop(eps)[a | { a ^ ~x => a ^ ~x }]"), [],
+                             steps=1))
+    assert '"~x": "eps"' in text and '"initial": "loop(eps)[' in text
+    seen = Counter()
+    real = syntax.parse_seq_text
+
+    def counting(text, path=None):
+        seen[text] += 1
+        return real(text, path)
+
+    monkeypatch.setattr(syntax, "parse_seq_text", counting)
+    trace_from_json(text)
+    assert seen == {"eps": 1}
+
+
 def reads_as_fresh_parse(doc: dict, parse, text: str, get):
     """Reading ``doc`` gives ``parse(text)`` where ``get`` looks, or fails
     with the error type and text that ``parse(text)`` fails with."""
